@@ -6,10 +6,16 @@
  * same-seed pipeline, so the work per iteration is identical; "1
  * thread" is the serial legacy path (no pool), and a t-thread
  * configuration runs a ThreadPool of t-1 workers plus the caller.
- * Prints the usual table plus one machine-readable JSON summary line
- * (prefixed "JSON:", captured as the BENCH_train.json CI artifact) and
- * exits non-zero if the best multi-threaded configuration is slower
- * than single-threaded — the CI smoke gate for the parallel path.
+ * A second section times the backward pass alone, single-threaded, at
+ * batch 256 and 4096 under the SIMD dispatch and forced-scalar: the
+ * MLP layer backward (density + color nets) and the whole sharded
+ * model backward (forward recompute, both MLPs, hash-grid scatter and
+ * merge), in ns/sample. Prints both tables plus one machine-readable
+ * JSON summary line (prefixed "JSON:", captured as the BENCH_train.json
+ * CI artifact). Exits non-zero if the best multi-threaded
+ * configuration is slower than single-threaded, or if the SIMD MLP
+ * backward is below 1.5x forced-scalar at batch 256 (skipped when the
+ * hardware dispatch is already scalar) — the CI smoke gates.
  *
  * Usage: bench_train_throughput [--quick] [iterations_per_config]
  *
@@ -29,7 +35,9 @@
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/simd.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "nerf/nerf_model.h"
 #include "nerf/trainer.h"
 #include "scenes/dataset_gen.h"
 
@@ -104,6 +112,118 @@ measure(const nerf::Dataset &data, int threads, int iters)
     return p;
 }
 
+/** Backward-pass batch sizes: the CI gate point and a large batch. */
+constexpr std::size_t kBackwardBatches[] = {256, 4096};
+/** Minimum SIMD / forced-scalar MLP backward speedup at batch 256. */
+constexpr double kMlpBackwardGate = 1.5;
+
+/** Backward ns/sample at one batch size, per dispatch arm. */
+struct BackwardPoint
+{
+    std::size_t batch;
+    double mlpNsSimd, mlpNsScalar;
+    double wholeNsSimd, wholeNsScalar;
+};
+
+/**
+ * Best-of-@p trials ns per sample of @p body, each trial repeating it
+ * until ~@p budget_s elapsed (at least twice).
+ */
+template <class F>
+double
+bestNsPerSample(std::size_t n, int trials, double budget_s, F &&body)
+{
+    double best = 0.0;
+    for (int t = 0; t < trials; ++t) {
+        int reps = 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        double s = 0.0;
+        do {
+            body();
+            ++reps;
+            s = secondsSince(t0);
+        } while (reps < 2 || s < budget_s);
+        const double ns = s * 1e9 / (static_cast<double>(reps) * n);
+        best = t == 0 ? ns : std::min(best, ns);
+    }
+    return best;
+}
+
+/** ns/sample of the density + color MLP backward at batch @p n. */
+double
+mlpBackwardNs(const nerf::NerfModel &model, std::size_t n, int trials,
+              double budget_s)
+{
+    struct Net
+    {
+        const nerf::Mlp *mlp;
+        nerf::MlpBatchWorkspace ws;
+        std::vector<float> dout, grads;
+    };
+    Net nets[] = {{&model.densityNet(), {}, {}, {}},
+                  {&model.colorNet(), {}, {}, {}}};
+    Pcg32 rng(77, n);
+    for (Net &net : nets) {
+        const nerf::Mlp &m = *net.mlp;
+        std::vector<float> in(static_cast<std::size_t>(m.inputDim()) * n);
+        for (float &v : in)
+            v = rng.nextFloat() * 2.0f - 1.0f;
+        net.ws = m.makeBatchWorkspace(n);
+        m.forwardBatch(in, n, net.ws);
+        net.dout.resize(static_cast<std::size_t>(m.outputDim()) * n);
+        for (float &v : net.dout)
+            v = rng.nextFloat() - 0.5f;
+        net.grads.assign(m.paramCount(), 0.0f);
+    }
+    return bestNsPerSample(n, trials, budget_s, [&] {
+        for (Net &net : nets)
+            net.mlp->backwardBatchInto(net.dout, n, net.ws, net.grads);
+    });
+}
+
+/** ns/sample of the whole sharded model backward at batch @p n. */
+double
+wholeBackwardNs(nerf::NerfModel &model, std::size_t n, int trials,
+                double budget_s)
+{
+    Pcg32 rng(78, n);
+    std::vector<Vec3f> pos(n), dirs(n), drgb(n);
+    std::vector<float> dsig(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        pos[j] = rng.nextVec3();
+        dirs[j] = rng.nextUnitVector();
+        dsig[j] = rng.nextFloat() - 0.5f;
+        drgb[j] = rng.nextVec3() - Vec3f{0.5f, 0.5f, 0.5f};
+    }
+    nerf::NerfParallelWorkspace ws;
+    return bestNsPerSample(n, trials, budget_s, [&] {
+        model.backwardBatchParallel(pos, dirs, dsig, drgb, ws, nullptr);
+    });
+}
+
+std::vector<BackwardPoint>
+measureBackward(bool quick)
+{
+    const int trials = quick ? 3 : 5;
+    const double budget_s = quick ? 0.03 : 0.1;
+    nerf::NerfModel model(bench::defaultPipeline().model, 5);
+    std::vector<BackwardPoint> points;
+    for (const std::size_t n : kBackwardBatches) {
+        BackwardPoint p{};
+        p.batch = n;
+        for (const bool scalar : {false, true}) {
+            simd::forceScalar(scalar);
+            const double mlp = mlpBackwardNs(model, n, trials, budget_s);
+            const double whole = wholeBackwardNs(model, n, trials, budget_s);
+            (scalar ? p.mlpNsScalar : p.mlpNsSimd) = mlp;
+            (scalar ? p.wholeNsScalar : p.wholeNsSimd) = whole;
+        }
+        simd::forceScalar(false);
+        points.push_back(p);
+    }
+    return points;
+}
+
 } // namespace
 
 int
@@ -152,6 +272,20 @@ main(int argc, char **argv)
     }
     bench::rule();
 
+    bench::banner("Backward pass, single thread: ns/sample, SIMD vs "
+                  "forced-scalar");
+    std::printf("%-8s %12s %12s %8s %12s %12s %8s\n", "batch", "mlp simd",
+                "mlp scalar", "x", "whole simd", "whole scal", "x");
+    const std::vector<BackwardPoint> backward = measureBackward(quick);
+    for (const BackwardPoint &b : backward)
+        std::printf("%-8zu %12.1f %12.1f %7.2fx %12.1f %12.1f %7.2fx\n",
+                    b.batch, b.mlpNsSimd, b.mlpNsScalar,
+                    b.mlpNsScalar / b.mlpNsSimd, b.wholeNsSimd,
+                    b.wholeNsScalar, b.wholeNsScalar / b.wholeNsSimd);
+    bench::rule();
+    const double mlp_speedup_256 =
+        backward.front().mlpNsScalar / backward.front().mlpNsSimd;
+
     std::string json = "{\"bench\":\"train_throughput\",\"dispatch\":\"" +
                        std::string(simd::dispatchName()) +
                        "\",\"quick\":" + std::string(quick ? "true" : "false") +
@@ -168,9 +302,36 @@ main(int argc, char **argv)
                       p.speedup);
         json += buf;
     }
-    std::snprintf(buf, sizeof(buf), "],\"speedup_4t\":%.3f}", speedup_4t);
+    std::snprintf(buf, sizeof(buf), "],\"speedup_4t\":%.3f,\"backward\":[",
+                  speedup_4t);
+    json += buf;
+    for (std::size_t i = 0; i < backward.size(); ++i) {
+        const BackwardPoint &b = backward[i];
+        std::snprintf(buf, sizeof(buf),
+                      "%s{\"batch\":%zu,\"mlp_ns_simd\":%.1f,"
+                      "\"mlp_ns_scalar\":%.1f,\"whole_ns_simd\":%.1f,"
+                      "\"whole_ns_scalar\":%.1f}",
+                      i ? "," : "", b.batch, b.mlpNsSimd, b.mlpNsScalar,
+                      b.wholeNsSimd, b.wholeNsScalar);
+        json += buf;
+    }
+    std::snprintf(buf, sizeof(buf), "],\"mlp_backward_speedup_256\":%.3f}",
+                  mlp_speedup_256);
     json += buf;
     std::printf("JSON: %s\n", json.c_str());
+
+    // The backward SIMD gate only means something when the hardware
+    // dispatch is vectorized (FUSION3D_SIMD_DISABLED or a scalar-only
+    // host makes both arms the same code).
+    if (std::strcmp(simd::dispatchName(), "scalar") == 0) {
+        std::printf("note: scalar dispatch; MLP backward SIMD gate skipped\n");
+    } else if (mlp_speedup_256 < kMlpBackwardGate) {
+        std::fprintf(stderr,
+                     "FAIL: SIMD MLP backward is %.3fx forced-scalar at batch "
+                     "256 (gate %.1fx)\n",
+                     mlp_speedup_256, kMlpBackwardGate);
+        return 1;
+    }
 
     // The gate only means something when parallelism is physically
     // possible; a single-core machine can at best tie (and pays the

@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -90,6 +91,36 @@ mlpLayerScalar(const float *w, const float *b, const float *x, float *z,
 }
 
 void
+mlpLayerBackwardScalar(const float *w, const float *x, const float *delta,
+                       float *next_delta, float *gw, float *gb, int fan_in,
+                       int fan_out, std::size_t n, float * /*xt*/,
+                       float * /*dt*/)
+{
+    std::fill_n(next_delta, static_cast<std::size_t>(fan_in) * n, 0.0f);
+    for (int o = 0; o < fan_out; ++o) {
+        const float *drow = delta + static_cast<std::size_t>(o) * n;
+        float bias_acc = 0.0f;
+        for (std::size_t j = 0; j < n; ++j)
+            bias_acc += drow[j];
+        gb[o] += bias_acc;
+
+        const float *wrow = w + static_cast<std::size_t>(o) * fan_in;
+        float *gwrow = gw + static_cast<std::size_t>(o) * fan_in;
+        for (int i = 0; i < fan_in; ++i) {
+            const float *xrow = x + static_cast<std::size_t>(i) * n;
+            float *ndrow = next_delta + static_cast<std::size_t>(i) * n;
+            const float wv = wrow[i];
+            float gacc = 0.0f;
+            for (std::size_t j = 0; j < n; ++j) {
+                gacc += drow[j] * xrow[j];
+                ndrow[j] += drow[j] * wv;
+            }
+            gwrow[i] += gacc;
+        }
+    }
+}
+
+void
 gatherInterp2Scalar(const float *tab, const std::uint32_t *idx,
                     const float *wts, std::size_t nb, float *out0, float *out1)
 {
@@ -149,8 +180,12 @@ gatherInterp2I8Scalar(const std::int8_t *tab, float scale,
 }
 
 constexpr Kernels kScalarKernels = {
-    "scalar",           mlpLayerScalar,        gatherInterp2Scalar,
-    gatherInterp2F16Scalar, gatherInterp2I8Scalar,
+    "scalar",
+    mlpLayerScalar,
+    mlpLayerBackwardScalar,
+    gatherInterp2Scalar,
+    gatherInterp2F16Scalar,
+    gatherInterp2I8Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -318,9 +353,248 @@ gatherInterp2I8Avx2(const std::int8_t *tab, float scale,
                               out1 + j);
 }
 
+/** In-register transpose of an 8x8 float block: row k of the result
+ *  is column k of the input. */
+__attribute__((target("avx2,fma,f16c"))) inline void
+transpose8x8Avx2(__m256 r[8])
+{
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+    r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+    r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+    r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+    r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+    r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+    r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+    r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/**
+ * Feature-major [rows][n] -> sample-major [n][lanePad(rows)]:
+ * dst[j*ld + r] = src[r*n + j], with the pad columns r >= rows zeroed
+ * so padded lanes accumulate exact zeros.
+ */
+__attribute__((target("avx2,fma,f16c"))) void
+transposeSampleMajorAvx2(const float *src, int rows, std::size_t n, float *dst)
+{
+    const std::size_t ld = lanePad(rows);
+    const std::size_t n8 = n & ~std::size_t(7);
+    for (std::size_t r0 = 0; r0 < ld; r0 += 8) {
+        for (std::size_t j0 = 0; j0 < n8; j0 += 8) {
+            __m256 v[8];
+            for (std::size_t k = 0; k < 8; ++k)
+                v[k] = r0 + k < static_cast<std::size_t>(rows)
+                           ? _mm256_loadu_ps(src + (r0 + k) * n + j0)
+                           : _mm256_setzero_ps();
+            transpose8x8Avx2(v);
+            for (std::size_t k = 0; k < 8; ++k)
+                _mm256_storeu_ps(dst + (j0 + k) * ld + r0, v[k]);
+        }
+    }
+    for (std::size_t j = n8; j < n; ++j)
+        for (std::size_t r = 0; r < ld; ++r)
+            dst[j * ld + r] =
+                r < static_cast<std::size_t>(rows) ? src[r * n + j] : 0.0f;
+}
+
+/** Lane mask selecting the first @p live (1..7) of 8 floats. */
+__attribute__((target("avx2,fma,f16c"))) inline __m256i
+firstLanesMask(int live)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(live),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** dst[0..live) += v, for live >= 1 (masked when live < 8). */
+__attribute__((target("avx2,fma,f16c"))) inline void
+addInto(float *dst, __m256 v, int live)
+{
+    if (live >= 8) {
+        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), v));
+        return;
+    }
+    const __m256i m = firstLanesMask(live);
+    _mm256_maskstore_ps(dst, m, _mm256_add_ps(_mm256_maskload_ps(dst, m), v));
+}
+
+/**
+ * Weight-gradient tile: OB output rows x IV 8-lane input vectors,
+ * lanes over inputs. Each accumulator is one (o, i) element's sum
+ * over samples j ascending from +0.0f, added once into gw.
+ */
+template <int OB, int IV>
+__attribute__((target("avx2,fma,f16c"))) inline void
+weightGradTileAvx2(const float *xt, std::size_t kx, const float *dt,
+                   std::size_t kd, std::size_t n, int o0, int i0, float *gw,
+                   int fan_in)
+{
+    __m256 acc[OB][IV];
+    for (int o = 0; o < OB; ++o)
+        for (int v = 0; v < IV; ++v)
+            acc[o][v] = _mm256_setzero_ps();
+    const float *xr = xt + i0;
+    const float *dr = dt + o0;
+    for (std::size_t j = 0; j < n; ++j, xr += kx, dr += kd) {
+        __m256 xv[IV];
+        for (int v = 0; v < IV; ++v)
+            xv[v] = _mm256_loadu_ps(xr + 8 * v);
+        for (int o = 0; o < OB; ++o) {
+            const __m256 d = _mm256_broadcast_ss(dr + o);
+            for (int v = 0; v < IV; ++v)
+                acc[o][v] = _mm256_add_ps(acc[o][v], _mm256_mul_ps(d, xv[v]));
+        }
+    }
+    for (int o = 0; o < OB; ++o) {
+        float *grow = gw + static_cast<std::size_t>(o0 + o) * fan_in;
+        for (int v = 0; v < IV; ++v) {
+            const int i = i0 + 8 * v;
+            if (i < fan_in)
+                addInto(grow + i, acc[o][v], fan_in - i);
+        }
+    }
+}
+
+/** Every output row against IV input vectors starting at @p i0: OB-row
+ *  tiles with 8 accumulators, then single rows for the remainder. */
+template <int IV>
+__attribute__((target("avx2,fma,f16c"))) void
+weightGradColumnAvx2(const float *xt, std::size_t kx, const float *dt,
+                     std::size_t kd, std::size_t n, int i0, float *gw,
+                     int fan_in, int fan_out)
+{
+    constexpr int OB = IV >= 4 ? 2 : 8 / IV;
+    int o0 = 0;
+    for (; o0 + OB <= fan_out; o0 += OB)
+        weightGradTileAvx2<OB, IV>(xt, kx, dt, kd, n, o0, i0, gw, fan_in);
+    for (; o0 < fan_out; ++o0)
+        weightGradTileAvx2<1, IV>(xt, kx, dt, kd, n, o0, i0, gw, fan_in);
+}
+
+/**
+ * next_delta tile: IB input rows x JV 8-sample vectors, lanes over
+ * samples; each element sums o ascending from +0.0f.
+ */
+template <int IB, int JV>
+__attribute__((target("avx2,fma,f16c"))) inline void
+nextDeltaTileAvx2(const float *w, const float *delta, float *next_delta,
+                  int fan_in, int fan_out, std::size_t n, int i0,
+                  std::size_t j0)
+{
+    __m256 acc[IB][JV];
+    for (int i = 0; i < IB; ++i)
+        for (int v = 0; v < JV; ++v)
+            acc[i][v] = _mm256_setzero_ps();
+    for (int o = 0; o < fan_out; ++o) {
+        const float *drow = delta + static_cast<std::size_t>(o) * n + j0;
+        const float *wrow = w + static_cast<std::size_t>(o) * fan_in + i0;
+        __m256 dv[JV];
+        for (int v = 0; v < JV; ++v)
+            dv[v] = _mm256_loadu_ps(drow + 8 * v);
+        for (int i = 0; i < IB; ++i) {
+            const __m256 wv = _mm256_broadcast_ss(wrow + i);
+            for (int v = 0; v < JV; ++v)
+                acc[i][v] = _mm256_add_ps(acc[i][v], _mm256_mul_ps(dv[v], wv));
+        }
+    }
+    for (int i = 0; i < IB; ++i)
+        for (int v = 0; v < JV; ++v)
+            _mm256_storeu_ps(
+                next_delta + static_cast<std::size_t>(i0 + i) * n + j0 + 8 * v,
+                acc[i][v]);
+}
+
+/** Every input row against JV sample vectors starting at @p j0. */
+template <int JV>
+__attribute__((target("avx2,fma,f16c"))) void
+nextDeltaBlockAvx2(const float *w, const float *delta, float *next_delta,
+                   int fan_in, int fan_out, std::size_t n, std::size_t j0)
+{
+    int i0 = 0;
+    for (; i0 + 4 <= fan_in; i0 += 4)
+        nextDeltaTileAvx2<4, JV>(w, delta, next_delta, fan_in, fan_out, n, i0,
+                                 j0);
+    for (; i0 < fan_in; ++i0)
+        nextDeltaTileAvx2<1, JV>(w, delta, next_delta, fan_in, fan_out, n, i0,
+                                 j0);
+}
+
+__attribute__((target("avx2,fma,f16c"))) void
+mlpLayerBackwardAvx2(const float *w, const float *x, const float *delta,
+                     float *next_delta, float *gw, float *gb, int fan_in,
+                     int fan_out, std::size_t n, float *xt, float *dt)
+{
+    const std::size_t kx = lanePad(fan_in);
+    const std::size_t kd = lanePad(fan_out);
+    transposeSampleMajorAvx2(x, fan_in, n, xt);
+    transposeSampleMajorAvx2(delta, fan_out, n, dt);
+
+    // Bias: lanes over outputs, samples ascending.
+    for (std::size_t o0 = 0; o0 < kd; o0 += 8) {
+        __m256 acc = _mm256_setzero_ps();
+        for (std::size_t j = 0; j < n; ++j)
+            acc = _mm256_add_ps(acc, _mm256_loadu_ps(dt + j * kd + o0));
+        addInto(gb + o0, acc, fan_out - static_cast<int>(o0));
+    }
+
+    // Weights: lanes over inputs, up to four vectors per tile.
+    for (std::size_t i0 = 0; i0 < kx; i0 += 32) {
+        const int i = static_cast<int>(i0);
+        switch (std::min<std::size_t>(4, (kx - i0) / 8)) {
+        case 4:
+            weightGradColumnAvx2<4>(xt, kx, dt, kd, n, i, gw, fan_in, fan_out);
+            break;
+        case 3:
+            weightGradColumnAvx2<3>(xt, kx, dt, kd, n, i, gw, fan_in, fan_out);
+            break;
+        case 2:
+            weightGradColumnAvx2<2>(xt, kx, dt, kd, n, i, gw, fan_in, fan_out);
+            break;
+        default:
+            weightGradColumnAvx2<1>(xt, kx, dt, kd, n, i, gw, fan_in, fan_out);
+            break;
+        }
+    }
+
+    // next_delta: lanes over samples, 16 then 8 at a time, then a
+    // scalar tail in the same o-ascending order.
+    std::size_t j0 = 0;
+    for (; j0 + 16 <= n; j0 += 16)
+        nextDeltaBlockAvx2<2>(w, delta, next_delta, fan_in, fan_out, n, j0);
+    for (; j0 + 8 <= n; j0 += 8)
+        nextDeltaBlockAvx2<1>(w, delta, next_delta, fan_in, fan_out, n, j0);
+    for (int i = 0; i < fan_in; ++i) {
+        for (std::size_t j = j0; j < n; ++j) {
+            float acc = 0.0f;
+            for (int o = 0; o < fan_out; ++o)
+                acc += delta[static_cast<std::size_t>(o) * n + j] *
+                       w[static_cast<std::size_t>(o) * fan_in + i];
+            next_delta[static_cast<std::size_t>(i) * n + j] = acc;
+        }
+    }
+}
+
 constexpr Kernels kAvx2Kernels = {
-    "avx2",           mlpLayerAvx2,        gatherInterp2Avx2,
-    gatherInterp2F16Avx2, gatherInterp2I8Avx2,
+    "avx2",
+    mlpLayerAvx2,
+    mlpLayerBackwardAvx2,
+    gatherInterp2Avx2,
+    gatherInterp2F16Avx2,
+    gatherInterp2I8Avx2,
 };
 
 #endif // F3D_SIMD_X86
@@ -329,7 +603,8 @@ constexpr Kernels kAvx2Kernels = {
 // NEON variants (aarch64). The GEMM microkernel vectorizes 4-wide with
 // separate mul/add (no vfma — same contraction contract as AVX2); the
 // gather kernels stay scalar since NEON has no gather instruction and
-// the index loads dominate either way.
+// the index loads dominate either way. The layer backward aliases the
+// scalar loop.
 // ---------------------------------------------------------------------------
 #if defined(F3D_SIMD_NEON)
 
@@ -373,8 +648,12 @@ mlpLayerNeon(const float *w, const float *b, const float *x, float *z,
 }
 
 constexpr Kernels kNeonKernels = {
-    "neon",           mlpLayerNeon,        gatherInterp2Scalar,
-    gatherInterp2F16Scalar, gatherInterp2I8Scalar,
+    "neon",
+    mlpLayerNeon,
+    mlpLayerBackwardScalar,
+    gatherInterp2Scalar,
+    gatherInterp2F16Scalar,
+    gatherInterp2I8Scalar,
 };
 
 #endif // F3D_SIMD_NEON

@@ -1,11 +1,14 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernel table for the batched inference hot
- * loops. The feature-major [dim][N] layout of every batch matrix means
- * vector lanes map to *samples*: each sample's accumulation order
- * (bias first, then fan-in / corner ascending) is untouched by
- * vectorization, so every kernel variant here is bit-exact with the
- * scalar C++ loops the equivalence tests pin down.
+ * Runtime-dispatched SIMD kernel table for the batched inference and
+ * training hot loops. The feature-major [dim][N] layout of every batch
+ * matrix means forward lanes map to *samples*: each sample's
+ * accumulation order (bias first, then fan-in / corner ascending) is
+ * untouched by vectorization. The backward weight-gradient reduction
+ * runs over samples, so its lanes map to independent (output, input)
+ * pairs instead, each still summing samples in ascending order. Every
+ * kernel variant here is therefore bit-exact with the scalar C++ loops
+ * the equivalence tests pin down.
  *
  * Variants are compiled per-function with target attributes (AVX2+FMA
  * on x86-64, NEON on aarch64, portable scalar everywhere) and selected
@@ -70,6 +73,14 @@ void forceScalar(bool on);
 /** True if the env var or forceScalar() currently pins scalar. */
 bool scalarForced();
 
+/** @p dim rounded up to a whole number of 8-float vectors: the row
+ *  width of the sample-major scratch mlpLayerBackward transposes into. */
+inline constexpr std::size_t
+lanePad(int dim)
+{
+    return (static_cast<std::size_t>(dim) + 7) & ~std::size_t(7);
+}
+
 /** Samples per gather block: the SoA corner index/weight staging the
  *  hash-encode hot loop hands to the gather kernels. */
 inline constexpr std::size_t kGatherBlock = 64;
@@ -94,6 +105,26 @@ struct Kernels
     void (*mlpLayer)(const float *w, const float *b, const float *x, float *z,
                      float *a, int fan_in, int fan_out, std::size_t n,
                      bool relu);
+
+    /**
+     * Backward of one dense layer over a feature-major batch, given the
+     * output gradient delta (ReLU derivative already folded in):
+     *   gw[o*fan_in+i]    += sum_j delta[o*n+j] * x[i*n+j]
+     *   gb[o]             += sum_j delta[o*n+j]
+     *   next_delta[i*n+j]  = sum_o delta[o*n+j] * w[o*fan_in+i]
+     * Order contract, shared by every variant: each weight and bias
+     * gradient sums j ascending from +0.0f and is added into gw/gb
+     * once; each next_delta element sums o ascending from +0.0f; every
+     * term is a separate multiply then add. The vector variants put
+     * lanes over (o, i) for the gradients — reading sample-major
+     * transposes they write into @p xt (n * lanePad(fan_in) floats) and
+     * @p dt (n * lanePad(fan_out) floats) — and over samples for
+     * next_delta. The scalar variant ignores both scratch buffers.
+     */
+    void (*mlpLayerBackward)(const float *w, const float *x,
+                             const float *delta, float *next_delta,
+                             float *gw, float *gb, int fan_in, int fan_out,
+                             std::size_t n, float *xt, float *dt);
 
     /**
      * 8-corner trilinear gather over a two-feature fp32 table:

@@ -96,13 +96,8 @@ class RayBatchEvaluator
         if (out.size() < rays.size())
             panic("%s::traceRays: output span too small (%zu < %zu)", owner_,
                   out.size(), rays.size());
-        if (workload) {
-            workload->pairs.clear();
-            workload->totalCandidates = 0;
-            workload->totalValid = 0;
-            workload->ddaSteps = 0;
-            workload->intersectionOps.reset();
-        }
+        if (workload)
+            workload->reset();
 
         const bool compact = compaction_ && grid != nullptr;
         SampleBatch &batch = record ? tape_batch_ : scratch_batch_;

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define F3D_HASH_SIMD_X86 1
@@ -158,6 +159,63 @@ stageCornersAvx2(const Vec3f *pos, std::size_t n8, float fres, bool dense,
 }
 
 #endif // F3D_HASH_SIMD_X86
+
+/** One level's constants for corner staging. */
+struct LevelGeometry
+{
+    float fres;
+    bool dense;
+    std::uint32_t n1;
+    std::uint32_t mask;
+};
+
+LevelGeometry
+levelGeometry(const HashGridEncoding &enc, int level)
+{
+    const int res = enc.resolution(level);
+    return {static_cast<float>(res), enc.isDense(level),
+            static_cast<std::uint32_t>(res + 1), enc.config().tableSize() - 1};
+}
+
+/**
+ * Stage the corner indices/weights of @p nb <= kGatherBlock points into
+ * corner-major [8][kGatherBlock] blocks: the AVX2 staging for whole
+ * groups of 8 when @p avx2, the scalar helper for the rest. Both give
+ * bit-identical indices and weights.
+ */
+inline void
+stageCorners(const Vec3f *pos, std::size_t nb, const LevelGeometry &g,
+             [[maybe_unused]] bool avx2, std::uint32_t *idx, float *wts)
+{
+    std::size_t j = 0;
+#if defined(F3D_HASH_SIMD_X86)
+    if (avx2) {
+        j = nb & ~std::size_t(7);
+        if (j > 0)
+            stageCornersAvx2(pos, j, g.fres, g.dense, g.n1, g.mask,
+                             HashGridEncoding::kPrimeX,
+                             HashGridEncoding::kPrimeY,
+                             HashGridEncoding::kPrimeZ, idx, wts);
+    }
+#endif
+    LevelCorners lc;
+    for (; j < nb; ++j) {
+        cornerIndicesWeights(pos[j], g.fres, g.dense, g.n1, g.mask, lc);
+        for (int c = 0; c < 8; ++c) {
+            idx[c * simd::kGatherBlock + j] = lc.indices[c];
+            wts[c * simd::kGatherBlock + j] = lc.weights[c];
+        }
+    }
+}
+
+/** True when corner staging should take the AVX2 path: under the same
+ *  dispatch pin as the kernel table, so forceScalar() still exercises
+ *  the scalar loop. */
+bool
+stageWithAvx2()
+{
+    return simd::activeDispatch() == simd::Dispatch::avx2;
+}
 
 } // namespace
 
@@ -320,12 +378,9 @@ HashGridEncoding::encodeBatch(std::span<const Vec3f> pos, std::span<float> out,
     const simd::Kernels &kern = simd::kernels();
     std::uint32_t idx[8 * simd::kGatherBlock];
     float wts[8 * simd::kGatherBlock];
-#if defined(F3D_HASH_SIMD_X86)
-    // Corner staging (clamp/scale/floor/hash/trilinear weights) dominates
-    // encodeBatch; vectorize it under the same dispatch pin as the
-    // gather kernels so forceScalar() still exercises the scalar loop.
-    const bool stage_avx2 = simd::activeDispatch() == simd::Dispatch::avx2;
-#endif
+    // Corner staging (clamp/scale/floor/hash/trilinear weights)
+    // dominates encodeBatch once the gather is vectorized.
+    const bool stage_avx2 = stageWithAvx2();
 
     CornerSet cs;
     LevelCorners lc;
@@ -362,10 +417,7 @@ HashGridEncoding::encodeBatch(std::span<const Vec3f> pos, std::span<float> out,
         // Hot path: level constants hoisted out of the point loop,
         // gather specialized for the common two-feature tables. Per
         // point the accumulation order matches encode() exactly.
-        const float fres = static_cast<float>(resolutions_[l]);
-        const bool dense = dense_[l];
-        const std::uint32_t n1 = static_cast<std::uint32_t>(resolutions_[l] + 1);
-        const std::uint32_t mask = cfg_.tableSize() - 1;
+        const LevelGeometry geo = levelGeometry(*this, l);
         const float *lp = has_fp32_ ? params_.data() + base : nullptr;
         const std::uint16_t *lq16 = quant_mode_ == QuantMode::fp16
                                         ? qtab_fp16_.data() + base
@@ -382,25 +434,7 @@ HashGridEncoding::encodeBatch(std::span<const Vec3f> pos, std::span<float> out,
         if (fpl == 2) {
             for (std::size_t j0 = 0; j0 < n; j0 += simd::kGatherBlock) {
                 const std::size_t nb = std::min(simd::kGatherBlock, n - j0);
-                std::size_t j = 0;
-#if defined(F3D_HASH_SIMD_X86)
-                if (stage_avx2) {
-                    const std::size_t n8 = nb & ~std::size_t(7);
-                    if (n8 > 0)
-                        stageCornersAvx2(pos.data() + j0, n8, fres, dense, n1,
-                                         mask, kPrimeX, kPrimeY, kPrimeZ, idx,
-                                         wts);
-                    j = n8;
-                }
-#endif
-                for (; j < nb; ++j) {
-                    cornerIndicesWeights(pos[j0 + j], fres, dense, n1, mask,
-                                         lc);
-                    for (int c = 0; c < 8; ++c) {
-                        idx[c * simd::kGatherBlock + j] = lc.indices[c];
-                        wts[c * simd::kGatherBlock + j] = lc.weights[c];
-                    }
-                }
+                stageCorners(pos.data() + j0, nb, geo, stage_avx2, idx, wts);
                 float *out0 = out.data() + row + j0;
                 float *out1 = out.data() + row + n + j0;
                 if (lq16 != nullptr)
@@ -412,7 +446,8 @@ HashGridEncoding::encodeBatch(std::span<const Vec3f> pos, std::span<float> out,
             }
         } else {
             for (std::size_t j = 0; j < n; ++j) {
-                cornerIndicesWeights(pos[j], fres, dense, n1, mask, lc);
+                cornerIndicesWeights(pos[j], geo.fres, geo.dense, geo.n1,
+                                     geo.mask, lc);
                 float acc[8];
                 for (int f = 0; f < fpl; ++f)
                     acc[f] = 0.0f;
@@ -449,22 +484,26 @@ HashGridEncoding::backwardBatch(std::span<const Vec3f> pos, std::span<const floa
     if (!has_fp32_)
         panic("HashGridEncoding::backwardBatch requires fp32 table (dropped)");
 
-    LevelCorners lc;
+    // Corners are staged a block at a time (bit-identical to the
+    // per-point helper), then scattered per point in corner order.
+    std::uint32_t idx[8 * simd::kGatherBlock];
+    float wts[8 * simd::kGatherBlock];
+    const bool stage_avx2 = stageWithAvx2();
     for (int l = 0; l < cfg_.levels; ++l) {
-        const std::size_t base = offsets_[l];
-        const std::size_t row = static_cast<std::size_t>(l) * fpl * n;
-        const float fres = static_cast<float>(resolutions_[l]);
-        const bool dense = dense_[l];
-        const std::uint32_t n1 = static_cast<std::uint32_t>(resolutions_[l] + 1);
-        const std::uint32_t mask = cfg_.tableSize() - 1;
-        float *lg = grads_.data() + base;
-        for (std::size_t j = 0; j < n; ++j) {
-            cornerIndicesWeights(pos[j], fres, dense, n1, mask, lc);
-            for (int c = 0; c < 8; ++c) {
-                float *g = lg + static_cast<std::size_t>(lc.indices[c]) * fpl;
-                const float w = lc.weights[c];
-                for (int f = 0; f < fpl; ++f)
-                    g[f] += w * dout[row + static_cast<std::size_t>(f) * n + j];
+        const LevelGeometry geo = levelGeometry(*this, l);
+        const float *ldout = dout.data() + static_cast<std::size_t>(l) * fpl * n;
+        float *lg = grads_.data() + offsets_[l];
+        for (std::size_t j0 = 0; j0 < n; j0 += simd::kGatherBlock) {
+            const std::size_t nb = std::min(simd::kGatherBlock, n - j0);
+            stageCorners(pos.data() + j0, nb, geo, stage_avx2, idx, wts);
+            for (std::size_t j = 0; j < nb; ++j) {
+                for (int c = 0; c < 8; ++c) {
+                    const std::size_t at = c * simd::kGatherBlock + j;
+                    float *g = lg + static_cast<std::size_t>(idx[at]) * fpl;
+                    const float w = wts[at];
+                    for (int f = 0; f < fpl; ++f)
+                        g[f] += w * ldout[static_cast<std::size_t>(f) * n + j0 + j];
+                }
             }
         }
     }
@@ -483,72 +522,120 @@ HashGridEncoding::backwardBatchInto(std::span<const Vec3f> pos,
         panic("HashGridEncoding::backwardBatchInto requires fp32 table "
               "(dropped)");
 
-    // Lazy one-time sizing; a reused accumulator never reallocates.
-    if (acc.acc_.size() != params_.size()) {
-        acc.acc_.assign(params_.size(), 0.0f);
-        acc.seen_.assign(params_.size() / static_cast<std::size_t>(fpl), 0);
-        acc.touched_.assign(static_cast<std::size_t>(cfg_.levels), {});
+    const std::size_t levels = static_cast<std::size_t>(cfg_.levels);
+    if (acc.used_.size() != levels) {
+        acc.touched_.assign(levels, {});
+        acc.partial_.assign(levels, {});
+        acc.used_.assign(levels, 0);
         acc.total_touched_ = 0;
     }
 
-    LevelCorners lc;
+    // Entry -> 1 + slot map of the level being scattered; 0 = not yet
+    // touched. One per thread, sized to the largest level and all-zero
+    // between calls, so it stays cache-resident however many shard
+    // accumulators the thread serves.
+    thread_local std::vector<std::uint32_t> slot_map;
+
+    std::uint32_t idx[8 * simd::kGatherBlock];
+    float wts[8 * simd::kGatherBlock];
+    const bool stage_avx2 = stageWithAvx2();
     for (int l = 0; l < cfg_.levels; ++l) {
-        const std::size_t base = offsets_[l];
-        const std::size_t entry_base = base / static_cast<std::size_t>(fpl);
-        const std::size_t row = static_cast<std::size_t>(l) * fpl * n;
-        const float fres = static_cast<float>(resolutions_[l]);
-        const bool dense = dense_[l];
-        const std::uint32_t n1 = static_cast<std::uint32_t>(resolutions_[l] + 1);
-        const std::uint32_t mask = cfg_.tableSize() - 1;
-        float *lg = acc.acc_.data() + base;
-        std::uint8_t *seen = acc.seen_.data() + entry_base;
-        std::vector<std::uint32_t> &touched =
-            acc.touched_[static_cast<std::size_t>(l)];
-        for (std::size_t j = 0; j < n; ++j) {
-            cornerIndicesWeights(pos[j], fres, dense, n1, mask, lc);
-            for (int c = 0; c < 8; ++c) {
-                const std::uint32_t idx = lc.indices[c];
-                if (!seen[idx]) {
-                    seen[idx] = 1;
-                    touched.push_back(idx);
-                    ++acc.total_touched_;
+        const std::size_t lv = static_cast<std::size_t>(l);
+        const LevelGeometry geo = levelGeometry(*this, l);
+        const float *ldout = dout.data() + lv * fpl * n;
+        std::vector<std::uint32_t> &touched = acc.touched_[lv];
+        std::vector<float> &partial = acc.partial_[lv];
+        std::size_t used = acc.used_[lv];
+        // Room for every corner of the batch to be a first touch, so
+        // the scatter below appends without a capacity check.
+        if (touched.size() < used + 8 * n) {
+            touched.resize(used + 8 * n);
+            partial.resize((used + 8 * n) * static_cast<std::size_t>(fpl), 0.0f);
+        }
+        if (slot_map.size() < entries_[l])
+            slot_map.resize(entries_[l], 0);
+        std::uint32_t *slot = slot_map.data();
+        std::uint32_t *tp = touched.data();
+        float *pp = partial.data();
+        // Entries this accumulator already holds (a second call before
+        // a merge) keep their slots.
+        const std::size_t first = used;
+        for (std::size_t k = 0; k < first; ++k)
+            slot[tp[k]] = static_cast<std::uint32_t>(k + 1);
+
+        for (std::size_t j0 = 0; j0 < n; j0 += simd::kGatherBlock) {
+            const std::size_t nb = std::min(simd::kGatherBlock, n - j0);
+            stageCorners(pos.data() + j0, nb, geo, stage_avx2, idx, wts);
+            for (std::size_t j = 0; j < nb; ++j) {
+                for (int c = 0; c < 8; ++c) {
+                    const std::size_t at = c * simd::kGatherBlock + j;
+                    const std::uint32_t e = idx[at];
+                    // Branch-free first touch: the entry is written to
+                    // the next slot either way, and kept only if new.
+                    std::uint32_t s = slot[e];
+                    const bool fresh = s == 0;
+                    tp[used] = e;
+                    s = fresh ? static_cast<std::uint32_t>(used + 1) : s;
+                    slot[e] = s;
+                    used += fresh ? 1 : 0;
+                    float *g = pp + static_cast<std::size_t>(s - 1) * fpl;
+                    const float w = wts[at];
+                    for (int f = 0; f < fpl; ++f)
+                        g[f] += w * ldout[static_cast<std::size_t>(f) * n + j0 + j];
                 }
-                float *g = lg + static_cast<std::size_t>(idx) * fpl;
-                const float w = lc.weights[c];
-                for (int f = 0; f < fpl; ++f)
-                    g[f] += w * dout[row + static_cast<std::size_t>(f) * n + j];
             }
         }
+        for (std::size_t k = 0; k < used; ++k)
+            slot[tp[k]] = 0;
+        acc.used_[lv] = used;
+        acc.total_touched_ += used - first;
     }
 }
 
 void
-HashGridEncoding::mergeGradShards(std::span<HashGradAccumulator *const> shards)
+HashGridEncoding::mergeGradShards(std::span<HashGradAccumulator *const> shards,
+                                  ThreadPool *pool)
 {
+    // Levels own disjoint ranges of grads_ and of every accumulator, so
+    // they merge independently; within a level shards stay ascending
+    // and entries in first-touch order, which fixes every entry's sum
+    // order whatever the pool does.
     const int fpl = cfg_.featuresPerLevel;
-    for (int l = 0; l < cfg_.levels; ++l) {
-        const std::size_t base = offsets_[l];
-        const std::size_t entry_base = base / static_cast<std::size_t>(fpl);
+    const auto merge_level = [&](int l) {
+        const std::size_t lv = static_cast<std::size_t>(l);
+        float *g = grads_.data() + offsets_[l];
         for (HashGradAccumulator *acc : shards) {
-            if (!acc || acc->empty() ||
-                acc->touched_.size() <= static_cast<std::size_t>(l))
+            if (!acc || acc->used_.size() <= lv || acc->used_[lv] == 0)
                 continue;
-            for (const std::uint32_t idx :
-                 acc->touched_[static_cast<std::size_t>(l)]) {
-                const std::size_t at = base + static_cast<std::size_t>(idx) * fpl;
+            const std::uint32_t *touched = acc->touched_[lv].data();
+            float *partial = acc->partial_[lv].data();
+            const std::size_t used = acc->used_[lv];
+            for (std::size_t k = 0; k < used; ++k) {
+                float *ge = g + static_cast<std::size_t>(touched[k]) * fpl;
+                float *pk = partial + k * static_cast<std::size_t>(fpl);
                 for (int f = 0; f < fpl; ++f) {
-                    grads_[at + f] += acc->acc_[at + f];
-                    acc->acc_[at + f] = 0.0f;
+                    ge[f] += pk[f];
+                    pk[f] = 0.0f;
                 }
-                acc->seen_[entry_base + idx] = 0;
             }
         }
+    };
+    if (pool) {
+        pool->parallelFor(
+            0, cfg_.levels,
+            [&](int b, int e) {
+                for (int l = b; l < e; ++l)
+                    merge_level(l);
+            },
+            1);
+    } else {
+        for (int l = 0; l < cfg_.levels; ++l)
+            merge_level(l);
     }
     for (HashGradAccumulator *acc : shards) {
         if (!acc)
             continue;
-        for (std::vector<std::uint32_t> &t : acc->touched_)
-            t.clear();
+        std::fill(acc->used_.begin(), acc->used_.end(), 0);
         acc->total_touched_ = 0;
     }
 }

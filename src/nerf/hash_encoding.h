@@ -24,6 +24,11 @@
 #include "common/quant.h"
 #include "common/vec.h"
 
+namespace fusion3d
+{
+class ThreadPool;
+}
+
 namespace fusion3d::nerf
 {
 
@@ -70,14 +75,15 @@ class VertexVisitor
 /**
  * Per-shard sparse gradient accumulator for parallel training. Each
  * worker scatters its shard's hash-grid gradients here instead of into
- * the shared gradient vector: a dense zero-initialized scratch the size
- * of the parameter vector plus, per level, the list of table entries the
- * shard actually touched (in first-touch order). Shards are then merged
- * into the real gradients in a fixed level-major, shard-ascending order
+ * the shared gradient vector. Per level it keeps the table entries the
+ * shard touched, in first-touch order, and one compact partial sum per
+ * touched entry (its "slot", numbered in that order), so its size
+ * follows the entries touched, not the table. Shards are then merged
+ * into the real gradients shard-ascending within each level
  * (HashGridEncoding::mergeGradShards), which keeps training bitwise
  * reproducible at any thread count — the property atomics cannot give,
- * since atomic float adds commit in scheduling order. Buffers are
- * allocated once and reused; merging re-zeroes only the touched entries.
+ * since atomic float adds commit in scheduling order. Buffers only
+ * grow and are reused; merging re-zeroes only the used slots.
  */
 class HashGradAccumulator
 {
@@ -90,12 +96,14 @@ class HashGradAccumulator
 
   private:
     friend class HashGridEncoding;
-    /** Dense [paramCount] scratch; all-zero outside touched entries. */
-    std::vector<float> acc_;
-    /** One first-touch flag per table entry (all levels concatenated). */
-    std::vector<std::uint8_t> seen_;
-    /** Per level: touched entry indices, in first-touch order. */
+    /** Per level: touched entry indices in slot order; the first
+     *  used_[l] are live, the rest is spare capacity. */
     std::vector<std::vector<std::uint32_t>> touched_;
+    /** Per level: [slot][featuresPerLevel] partial sums, all-zero past
+     *  the live slots. */
+    std::vector<std::vector<float>> partial_;
+    /** Per level: live slots. */
+    std::vector<std::size_t> used_;
     std::size_t total_touched_ = 0;
 };
 
@@ -186,13 +194,15 @@ class HashGridEncoding
 
     /**
      * Merge shard accumulators into grads() and reset them for reuse.
-     * The merge runs level-major (all shards' level-0 contributions,
-     * then level 1, ...) and shard-ascending within a level, with each
-     * shard's touched entries applied in first-touch order — an order
-     * that depends only on the shard partition, never on thread count
-     * or scheduling, so training stays bitwise reproducible.
+     * Each level merges shard-ascending, with each shard's touched
+     * entries applied in first-touch order — an order that depends
+     * only on the shard partition, never on thread count or
+     * scheduling, so training stays bitwise reproducible. Levels own
+     * disjoint entries, so with a @p pool they merge in parallel
+     * (one task per level) with the same result as the serial merge.
      */
-    void mergeGradShards(std::span<HashGradAccumulator *const> shards);
+    void mergeGradShards(std::span<HashGradAccumulator *const> shards,
+                         ThreadPool *pool = nullptr);
 
     /** Flat parameter vector (levels concatenated, feature-major). */
     std::span<float> params() { return params_; }

@@ -191,6 +191,20 @@ Mlp::backwardBatchInto(std::span<const float> dout, std::size_t n,
     float *next_delta = ws.delta_b.data();
     std::copy_n(dout.begin(), static_cast<std::size_t>(outputDim()) * n, delta);
 
+    // One dispatch lookup per call; every variant keeps the scalar
+    // loop's per-element accumulation order (simd::Kernels), so the
+    // gradients are bit-identical whichever runs.
+    const simd::Kernels &kern = simd::kernels();
+    // The kernels' transpose scratch is sized here rather than in
+    // growBatchWorkspace, so inference-only workspaces (often built per
+    // call) never allocate it; it only grows.
+    const std::size_t scratch =
+        simd::lanePad(*std::max_element(sizes_.begin(), sizes_.end())) * n;
+    if (ws.xt.size() < scratch) {
+        ws.xt.resize(scratch);
+        ws.dt.resize(scratch);
+    }
+
     for (int l = layerCount() - 1; l >= 0; --l) {
         const int fan_in = sizes_[l];
         const int fan_out = sizes_[l + 1];
@@ -202,35 +216,15 @@ Mlp::backwardBatchInto(std::span<const float> dout, std::size_t n,
         const bool hidden = l != layerCount() - 1;
 
         if (hidden) {
+            // Branch-free select, so the mask vectorizes instead of
+            // mispredicting on every other ReLU.
             const std::size_t count = static_cast<std::size_t>(fan_out) * n;
-            for (std::size_t k = 0; k < count; ++k) {
-                if (z[k] <= 0.0f)
-                    delta[k] = 0.0f;
-            }
+            for (std::size_t k = 0; k < count; ++k)
+                delta[k] = z[k] <= 0.0f ? 0.0f : delta[k];
         }
 
-        std::fill_n(next_delta, static_cast<std::size_t>(fan_in) * n, 0.0f);
-        for (int o = 0; o < fan_out; ++o) {
-            const float *drow = delta + static_cast<std::size_t>(o) * n;
-            float bias_acc = 0.0f;
-            for (std::size_t j = 0; j < n; ++j)
-                bias_acc += drow[j];
-            gb[o] += bias_acc;
-
-            const float *wrow = w + static_cast<std::size_t>(o) * fan_in;
-            float *gwrow = gw + static_cast<std::size_t>(o) * fan_in;
-            for (int i = 0; i < fan_in; ++i) {
-                const float *xrow = x + static_cast<std::size_t>(i) * n;
-                float *ndrow = next_delta + static_cast<std::size_t>(i) * n;
-                const float wv = wrow[i];
-                float gacc = 0.0f;
-                for (std::size_t j = 0; j < n; ++j) {
-                    gacc += drow[j] * xrow[j];
-                    ndrow[j] += drow[j] * wv;
-                }
-                gwrow[i] += gacc;
-            }
-        }
+        kern.mlpLayerBackward(w, x, delta, next_delta, gw, gb, fan_in, fan_out,
+                              n, ws.xt.data(), ws.dt.data());
         std::swap(delta, next_delta);
     }
 

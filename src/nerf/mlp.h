@@ -55,6 +55,11 @@ struct MlpBatchWorkspace
     /** Scratch delta matrices, [widest][N]. */
     std::vector<float> delta_a;
     std::vector<float> delta_b;
+    /** Sample-major [N][lanePad(widest)] transposes of a layer's input
+     *  and delta, written by the vector backward kernels; sized by the
+     *  first backward, empty on inference-only workspaces. */
+    std::vector<float> xt;
+    std::vector<float> dt;
     /** Per-layer weight dequantization scratch of the quantized
      *  inference path (largest layer's weight count; batch-independent). */
     std::vector<float> wdequant;

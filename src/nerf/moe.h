@@ -157,12 +157,8 @@ class MoeField : public RadianceField
         if (out.size() < n)
             fatal("MoeField::traceRays: output span too small");
 
-        if (workload) {
-            workload->pairs.clear();
-            workload->totalCandidates = 0;
-            workload->totalValid = 0;
-            workload->intersectionOps.reset();
-        }
+        if (workload)
+            workload->reset();
         if (n == 0)
             return;
 
@@ -173,11 +169,8 @@ class MoeField : public RadianceField
             RayWorkload &wl = expert_workloads_[static_cast<std::size_t>(k)];
             experts_[static_cast<std::size_t>(k)]->traceRays(rays, rng, record, evals,
                                                              &wl);
-            if (workload) {
-                workload->totalCandidates += wl.totalCandidates;
-                workload->totalValid += wl.totalValid;
-                workload->intersectionOps += wl.intersectionOps;
-            }
+            if (workload)
+                workload->mergeFrom(wl);
         }
 
         // The I/O module's fusion, per ray: expert partials are summed

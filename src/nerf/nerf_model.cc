@@ -419,8 +419,8 @@ NerfModel::backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec
     }
 
     // Deterministic reduction: serial pairwise tree over the MLP shard
-    // buffers, then the level-major sparse merge for the hash grid. The
-    // order depends only on the shard count, never on scheduling.
+    // buffers, then the level-parallel sparse merge for the hash grid.
+    // The order depends only on the shard count, never on scheduling.
     {
         F3D_TRACE_SPAN_ARG("train", "reduce", static_cast<std::int64_t>(num_shards));
         stats.reduces.fetch_add(1, std::memory_order_relaxed);
@@ -442,7 +442,7 @@ NerfModel::backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec
             ws.accPtrs.resize(num_shards);
         for (std::size_t s = 0; s < num_shards; ++s)
             ws.accPtrs[s] = &ws.shards[s].encodingGrads;
-        encoding_->mergeGradShards({ws.accPtrs.data(), num_shards});
+        encoding_->mergeGradShards({ws.accPtrs.data(), num_shards}, pool);
     }
 }
 

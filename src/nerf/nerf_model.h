@@ -226,10 +226,11 @@ class NerfModel
      * backwardBatch split into fixed shards: each shard recomputes its
      * forward and accumulates gradients into its private arena buffers
      * (backwardBatchInto), then a deterministic reduction merges them —
-     * a serial pairwise tree over the MLP shard buffers and a
-     * level-major sparse merge for the hash grid. For a given shard
-     * partition the summation order is fixed, so training with a pool
-     * reproduces bit-identical weights at any thread count.
+     * a serial pairwise tree over the MLP shard buffers and a sparse
+     * merge for the hash grid whose levels run in parallel on @p pool.
+     * For a given shard partition the summation order is fixed, so
+     * training with a pool reproduces bit-identical weights at any
+     * thread count.
      */
     void backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
                                std::span<const float> dsigmas,

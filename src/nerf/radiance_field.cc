@@ -20,13 +20,8 @@ RadianceField::traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
     if (out.size() < rays.size())
         panic("RadianceField::traceRays: output span too small (%zu < %zu)",
               out.size(), rays.size());
-    if (workload) {
-        workload->pairs.clear();
-        workload->totalCandidates = 0;
-        workload->totalValid = 0;
-        workload->ddaSteps = 0;
-        workload->intersectionOps.reset();
-    }
+    if (workload)
+        workload->reset();
 
     if (record) {
         fallback_rays_.assign(rays.begin(), rays.end());

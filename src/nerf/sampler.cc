@@ -18,13 +18,8 @@ RaySampler::sample(const Ray &ray, const OccupancyGrid *grid, Pcg32 &rng,
                    std::vector<RaySample> &out, RayWorkload *workload) const
 {
     out.clear();
-    if (workload) {
-        workload->pairs.clear();
-        workload->totalCandidates = 0;
-        workload->totalValid = 0;
-        workload->ddaSteps = 0;
-        workload->intersectionOps.reset();
-    }
+    if (workload)
+        workload->reset();
 
     OpCounter *ops = workload ? &workload->intersectionOps : nullptr;
 

@@ -60,6 +60,17 @@ struct RayWorkload
     /** Arithmetic spent on intersection tests for this ray. */
     OpCounter intersectionOps;
 
+    /** Clear to an empty workload (keeps the pairs capacity). */
+    void
+    reset()
+    {
+        pairs.clear();
+        totalCandidates = 0;
+        totalValid = 0;
+        ddaSteps = 0;
+        intersectionOps.reset();
+    }
+
     /** Accumulate another ray's workload (batch-trace aggregation). */
     void
     mergeFrom(const RayWorkload &o)

@@ -342,6 +342,56 @@ TEST(Moe, TraceRaysMatchesPerRayWithoutJitter)
     }
 }
 
+/**
+ * The batched MoE trace resets the caller's workload and returns the
+ * merge of its experts' per-call workloads: pairs, candidates, valid
+ * samples, DDA steps and intersection ops, with nothing stale kept.
+ */
+TEST(Moe, TraceRaysWorkloadIsMergeOfExpertWorkloads)
+{
+    MoeConfig mc;
+    mc.numExperts = 2;
+    mc.expert = tinyPipeline();
+    mc.expert.sampler.ddaSkip = true;
+    MoeNerf moe(mc);
+    std::vector<Ray> rays;
+    for (int i = 0; i < 6; ++i)
+        rays.emplace_back(Vec3f{0.1f + 0.15f * static_cast<float>(i), 0.45f, -1.0f},
+                          Vec3f{0.05f, 0.0f, 1.0f});
+
+    RayWorkload got;
+    got.pairs.assign(3, RayCubePair{5, 9, 9});
+    got.totalCandidates = 111;
+    got.totalValid = 222;
+    got.ddaSteps = 333;
+    got.intersectionOps.adds = 444;
+
+    Pcg32 rng_a(23), rng_b(23);
+    std::vector<RayEval> evals(rays.size());
+    moe.traceRays(rays, rng_a, false, evals, &got);
+
+    // The experts trace the whole batch in order, sharing the rng.
+    RayWorkload want;
+    for (int k = 0; k < moe.numExperts(); ++k) {
+        std::vector<RayEval> partial(rays.size());
+        RayWorkload wl;
+        moe.expert(k).traceRays(rays, rng_b, false, partial, &wl);
+        want.mergeFrom(wl);
+    }
+    EXPECT_GT(want.ddaSteps, 0);
+    EXPECT_FALSE(want.pairs.empty());
+    ASSERT_EQ(got.pairs.size(), want.pairs.size());
+    for (std::size_t i = 0; i < want.pairs.size(); ++i) {
+        EXPECT_EQ(got.pairs[i].octant, want.pairs[i].octant) << "pair " << i;
+        EXPECT_EQ(got.pairs[i].candidates, want.pairs[i].candidates) << "pair " << i;
+        EXPECT_EQ(got.pairs[i].valid, want.pairs[i].valid) << "pair " << i;
+    }
+    EXPECT_EQ(got.totalCandidates, want.totalCandidates);
+    EXPECT_EQ(got.totalValid, want.totalValid);
+    EXPECT_EQ(got.ddaSteps, want.ddaSteps);
+    EXPECT_EQ(got.intersectionOps, want.intersectionOps);
+}
+
 TEST(Moe, TrainsOnToyScene)
 {
     const Dataset data = tinyDataset("lego");

@@ -1,6 +1,8 @@
 /** @file Bit-exactness contracts of the SIMD dispatch layer: hardware
- *  kernels vs forced-scalar for the MLP GEMM, the hash-grid encode, and
- *  the whole-model forward; the packed fp16/INT8 inference path vs a
+ *  kernels vs forced-scalar for the MLP GEMM and layer backward, the
+ *  hash-grid encode, the whole-model forward, and the sharded
+ *  whole-model backward (also across pool sizes); the packed
+ *  fp16/INT8 inference path vs a
  *  dequantize-then-fp32 oracle; occupancy compaction vs the gated
  *  evaluator; and the v4 quantized artifact round-trip. */
 
@@ -14,6 +16,7 @@
 #include "common/half.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "nerf/mlp.h"
 #include "nerf/nerf_model.h"
 #include "nerf/pipeline.h"
@@ -142,6 +145,123 @@ TEST(Simd, MlpForwardBatchBitExactAcrossDispatch)
     }
 }
 
+/** One mlpLayerBackward call on the active dispatch. */
+struct LayerBackwardResult
+{
+    std::vector<float> gw, gb, next_delta;
+};
+
+LayerBackwardResult
+runLayerBackward(const std::vector<float> &w, const std::vector<float> &x,
+                 const std::vector<float> &delta, const std::vector<float> &gw0,
+                 const std::vector<float> &gb0, int fan_in, int fan_out,
+                 std::size_t n)
+{
+    LayerBackwardResult r{gw0, gb0, {}};
+    // Stale values everywhere the kernel must overwrite.
+    r.next_delta.assign(static_cast<std::size_t>(fan_in) * n, 1234.5f);
+    std::vector<float> xt(simd::lanePad(fan_in) * n, -7.0f);
+    std::vector<float> dt(simd::lanePad(fan_out) * n, -7.0f);
+    simd::kernels().mlpLayerBackward(w.data(), x.data(), delta.data(),
+                                     r.next_delta.data(), r.gw.data(),
+                                     r.gb.data(), fan_in, fan_out, n, xt.data(),
+                                     dt.data());
+    return r;
+}
+
+void
+expectBitsEqual(const std::vector<float> &a, const std::vector<float> &b,
+                const char *what, int fan_in, int fan_out, std::size_t n)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(floatBits(a[i]), floatBits(b[i]))
+            << what << " layer " << fan_in << "x" << fan_out << " batch " << n
+            << " element " << i;
+}
+
+/**
+ * The dispatched layer backward is bit-exact with the scalar loop:
+ * weight and bias gradients (lanes over outputs/inputs, samples summed
+ * ascending) and next_delta (lanes over samples, outputs summed
+ * ascending), across ragged batch and fan sizes, with ReLU-masked and
+ * negative-zero deltas and non-zero incoming gradients.
+ */
+TEST(Simd, MlpLayerBackwardBitExactAcrossDispatch)
+{
+    const int layers[][2] = {{16, 32}, {32, 16}, {31, 32}, {32, 3}};
+    const std::size_t batches[] = {1, 7, 8, 9, 63, 64, 65, 280, 4483};
+    for (const auto &layer : layers) {
+        const int fan_in = layer[0];
+        const int fan_out = layer[1];
+        for (const std::size_t n : batches) {
+            Pcg32 rng(static_cast<std::uint64_t>(fan_in * 1000 + fan_out) * 7919 +
+                      n);
+            const auto uniform = [&rng] { return rng.nextFloat() * 2.0f - 1.0f; };
+            std::vector<float> w(static_cast<std::size_t>(fan_in) * fan_out);
+            for (float &v : w)
+                v = uniform();
+            // Post-ReLU inputs: about half exact zeros.
+            std::vector<float> x(static_cast<std::size_t>(fan_in) * n);
+            for (float &v : x)
+                v = std::max(uniform(), 0.0f);
+            std::vector<float> delta(static_cast<std::size_t>(fan_out) * n);
+            for (std::size_t k = 0; k < delta.size(); ++k) {
+                const float u = uniform();
+                if (k % 5 == 0)
+                    delta[k] = 0.0f; // ReLU-masked
+                else if (k % 7 == 0)
+                    delta[k] = -0.0f;
+                else
+                    delta[k] = u;
+            }
+            std::vector<float> gw0(w.size()), gb0(static_cast<std::size_t>(fan_out));
+            for (float &v : gw0)
+                v = 0.25f * uniform();
+            for (float &v : gb0)
+                v = 0.25f * uniform();
+
+            LayerBackwardResult hw, sc;
+            {
+                ScopedForceScalar pin(false);
+                hw = runLayerBackward(w, x, delta, gw0, gb0, fan_in, fan_out, n);
+            }
+            {
+                ScopedForceScalar pin(true);
+                sc = runLayerBackward(w, x, delta, gw0, gb0, fan_in, fan_out, n);
+            }
+            expectBitsEqual(hw.gw, sc.gw, "gw", fan_in, fan_out, n);
+            expectBitsEqual(hw.gb, sc.gb, "gb", fan_in, fan_out, n);
+            expectBitsEqual(hw.next_delta, sc.next_delta, "next_delta", fan_in,
+                            fan_out, n);
+        }
+    }
+}
+
+/** A row of all-negative-zero deltas sums to +0.0 in every variant:
+ *  the reduction starts from +0.0f, never from the first term. */
+TEST(Simd, MlpLayerBackwardNegativeZeroSumsToPositiveZero)
+{
+    const int fan_in = 9, fan_out = 3;
+    const std::size_t n = 19;
+    const std::vector<float> w(static_cast<std::size_t>(fan_in) * fan_out, 0.5f);
+    const std::vector<float> x(static_cast<std::size_t>(fan_in) * n, 1.0f);
+    const std::vector<float> delta(static_cast<std::size_t>(fan_out) * n, -0.0f);
+    const std::vector<float> gw0(w.size(), -0.0f);
+    const std::vector<float> gb0(static_cast<std::size_t>(fan_out), -0.0f);
+    for (const bool scalar : {false, true}) {
+        ScopedForceScalar pin(scalar);
+        const LayerBackwardResult r =
+            runLayerBackward(w, x, delta, gw0, gb0, fan_in, fan_out, n);
+        for (const float v : r.gw)
+            EXPECT_EQ(floatBits(v), floatBits(0.0f));
+        for (const float v : r.gb)
+            EXPECT_EQ(floatBits(v), floatBits(0.0f));
+        for (const float v : r.next_delta)
+            EXPECT_EQ(floatBits(v), floatBits(0.0f));
+    }
+}
+
 /**
  * The dispatched gather/interpolate (and the AVX2 corner staging that
  * feeds it) is bit-exact with the scalar encode at every batch size.
@@ -170,6 +290,35 @@ TEST(Simd, EncodeBatchBitExactAcrossDispatch)
     }
 }
 
+/** The hash-grid backward scatter stages its corners through the same
+ *  AVX2 helper as the encode; the gradients match forced-scalar. */
+TEST(Simd, HashBackwardBatchBitExactAcrossDispatch)
+{
+    const NerfModelConfig mc = tinyModel();
+    const std::size_t dims = static_cast<std::size_t>(mc.grid.encodedDims());
+    for (const std::size_t n : kBatches) {
+        std::vector<Vec3f> pos, dirs;
+        randomBatch(n, 2500 + n, pos, dirs);
+        Pcg32 rng(2600 + n);
+        std::vector<float> dout(dims * n);
+        for (float &v : dout)
+            v = rng.nextFloat() - 0.5f;
+        HashGridEncoding hw(mc.grid, 42), sc(mc.grid, 42);
+        {
+            ScopedForceScalar pin(false);
+            hw.backwardBatch(pos, dout);
+        }
+        {
+            ScopedForceScalar pin(true);
+            sc.backwardBatch(pos, dout);
+        }
+        const std::span<float> ghw = hw.grads(), gsc = sc.grads();
+        for (std::size_t i = 0; i < ghw.size(); ++i)
+            ASSERT_EQ(floatBits(ghw[i]), floatBits(gsc[i]))
+                << "batch " << n << " grad " << i;
+    }
+}
+
 TEST(Simd, NerfModelForwardBatchBitExactAcrossDispatch)
 {
     NerfModel model(tinyModel(), 43);
@@ -193,6 +342,64 @@ TEST(Simd, NerfModelForwardBatchBitExactAcrossDispatch)
             EXPECT_EQ(floatBits(sig_hw[j]), floatBits(sig_sc[j]))
                 << "batch " << n << " sample " << j;
             EXPECT_EQ(rgb_hw[j], rgb_sc[j]) << "batch " << n << " sample " << j;
+        }
+    }
+}
+
+/** All parameter gradients of @p model, concatenated. */
+std::vector<float>
+allGrads(NerfModel &model)
+{
+    std::vector<float> g;
+    const auto append = [&g](std::span<const float> s) {
+        g.insert(g.end(), s.begin(), s.end());
+    };
+    append(model.encoding().grads());
+    append(model.densityNet().grads());
+    append(model.colorNet().grads());
+    return g;
+}
+
+/**
+ * The sharded whole-model backward accumulates bit-identical gradients
+ * under SIMD and forced-scalar dispatch and at every pool size: the
+ * vector layer backward keeps the scalar order, and the level-parallel
+ * hash-grid merge keeps each entry's shard-ascending sum order.
+ */
+TEST(Simd, BackwardBatchParallelBitExactAcrossDispatchAndPools)
+{
+    const std::size_t n = 700; // three shards with ragged tails
+    std::vector<Vec3f> pos, dirs;
+    randomBatch(n, 51, pos, dirs);
+    Pcg32 rng(52);
+    std::vector<float> dsig(n);
+    std::vector<Vec3f> drgb(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        dsig[j] = rng.nextFloat() - 0.5f;
+        drgb[j] = rng.nextVec3() - Vec3f{0.5f, 0.5f, 0.5f};
+    }
+
+    std::vector<float> ref;
+    for (const bool scalar : {true, false}) {
+        for (const int workers : {0, 1, 3}) {
+            ScopedForceScalar pin(scalar);
+            ThreadPool pool(workers);
+            NerfModel model(tinyModel(), 53);
+            NerfParallelWorkspace ws;
+            // Two calls: the second reuses the arenas and accumulates
+            // onto non-zero gradients.
+            for (int rep = 0; rep < 2; ++rep)
+                model.backwardBatchParallel(pos, dirs, dsig, drgb, ws, &pool);
+            const std::vector<float> got = allGrads(model);
+            if (ref.empty()) {
+                ref = got;
+                continue;
+            }
+            ASSERT_EQ(got.size(), ref.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(floatBits(got[i]), floatBits(ref[i]))
+                    << (scalar ? "scalar" : "simd") << " workers " << workers
+                    << " grad " << i;
         }
     }
 }
