@@ -25,6 +25,21 @@ adamFor(float lr)
     return cfg;
 }
 
+std::vector<int>
+trunkLayers(const FreqNerfConfig &cfg)
+{
+    std::vector<int> sizes{cfg.posDims()};
+    sizes.insert(sizes.end(), cfg.trunkLayers, cfg.hidden);
+    sizes.push_back(1 + cfg.geoFeatures);
+    return sizes;
+}
+
+std::vector<int>
+colorLayers(const FreqNerfConfig &cfg)
+{
+    return {cfg.geoFeatures + cfg.shDims(), cfg.colorHidden, 3};
+}
+
 } // namespace
 
 void
@@ -48,6 +63,12 @@ freqEncode(const Vec3f &p, int frequencies, std::span<float> out)
     }
 }
 
+std::array<std::size_t, 2>
+FreqNerfModel::paramCountsFor(const FreqNerfConfig &cfg)
+{
+    return {Mlp::paramCountFor(trunkLayers(cfg)), Mlp::paramCountFor(colorLayers(cfg))};
+}
+
 FreqNerfModel::FreqNerfModel(const FreqNerfConfig &cfg, std::uint64_t seed)
     : cfg_(cfg),
       adam_trunk_(),
@@ -56,16 +77,8 @@ FreqNerfModel::FreqNerfModel(const FreqNerfConfig &cfg, std::uint64_t seed)
     if (cfg.posFrequencies < 1 || cfg.trunkLayers < 1)
         fatal("FreqNerfModel: invalid configuration");
 
-    std::vector<int> trunk_sizes;
-    trunk_sizes.push_back(cfg.posDims());
-    for (int l = 0; l < cfg.trunkLayers; ++l)
-        trunk_sizes.push_back(cfg.hidden);
-    trunk_sizes.push_back(1 + cfg.geoFeatures);
-    trunk_ = std::make_unique<Mlp>(trunk_sizes, seed);
-
-    color_net_ = std::make_unique<Mlp>(
-        std::vector<int>{cfg.geoFeatures + cfg.shDims(), cfg.colorHidden, 3},
-        seed + 3);
+    trunk_ = std::make_unique<Mlp>(trunkLayers(cfg), seed);
+    color_net_ = std::make_unique<Mlp>(colorLayers(cfg), seed + 3);
 
     adam_trunk_ = Adam(trunk_->paramCount(), adamFor(2e-3f));
     adam_color_ = Adam(color_net_->paramCount(), adamFor(2e-3f));

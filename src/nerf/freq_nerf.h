@@ -11,6 +11,7 @@
 #ifndef FUSION3D_NERF_FREQ_NERF_H_
 #define FUSION3D_NERF_FREQ_NERF_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -88,6 +89,11 @@ class FreqNerfModel
     static constexpr BackendKind kBackendKind = BackendKind::freqNerf;
 
     explicit FreqNerfModel(const FreqNerfConfig &cfg, std::uint64_t seed = 41);
+
+    /** Sizes of the trunk and color-net parameter blocks a model built
+     *  from @p cfg holds, computed without allocating them (the
+     *  constructor sizes its blocks the same way). */
+    static std::array<std::size_t, 2> paramCountsFor(const FreqNerfConfig &cfg);
 
     const FreqNerfConfig &config() const { return cfg_; }
 

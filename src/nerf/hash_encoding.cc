@@ -219,6 +219,36 @@ stageWithAvx2()
 
 } // namespace
 
+HashGridEncoding::LevelLayout
+HashGridEncoding::levelLayout(const HashGridConfig &cfg, int level)
+{
+    // Per-level geometric growth factor, as in Instant-NGP eq. (3).
+    const double growth =
+        cfg.levels > 1
+            ? std::exp((std::log(static_cast<double>(cfg.maxResolution)) -
+                        std::log(static_cast<double>(cfg.baseResolution))) /
+                       static_cast<double>(cfg.levels - 1))
+            : 1.0;
+    LevelLayout lv;
+    lv.resolution = static_cast<int>(
+        std::floor(static_cast<double>(cfg.baseResolution) * std::pow(growth, level)));
+    const std::uint64_t dense_entries = static_cast<std::uint64_t>(lv.resolution + 1) *
+                                        (lv.resolution + 1) * (lv.resolution + 1);
+    lv.dense = dense_entries <= cfg.tableSize();
+    lv.entries = lv.dense ? static_cast<std::uint32_t>(dense_entries) : cfg.tableSize();
+    return lv;
+}
+
+std::size_t
+HashGridEncoding::paramCountFor(const HashGridConfig &cfg)
+{
+    std::size_t total = 0;
+    for (int l = 0; l < cfg.levels; ++l)
+        total += static_cast<std::size_t>(levelLayout(cfg, l).entries) *
+                 cfg.featuresPerLevel;
+    return total;
+}
+
 HashGridEncoding::HashGridEncoding(const HashGridConfig &cfg, std::uint64_t seed)
     : cfg_(cfg)
 {
@@ -231,14 +261,6 @@ HashGridEncoding::HashGridEncoding(const HashGridConfig &cfg, std::uint64_t seed
         fatal("HashGridEncoding resolution range invalid (%d..%d)",
               cfg.baseResolution, cfg.maxResolution);
 
-    // Per-level geometric growth factor, as in Instant-NGP eq. (3).
-    const double growth =
-        cfg.levels > 1
-            ? std::exp((std::log(static_cast<double>(cfg.maxResolution)) -
-                        std::log(static_cast<double>(cfg.baseResolution))) /
-                       static_cast<double>(cfg.levels - 1))
-            : 1.0;
-
     resolutions_.resize(cfg.levels);
     dense_.resize(cfg.levels);
     entries_.resize(cfg.levels);
@@ -246,18 +268,10 @@ HashGridEncoding::HashGridEncoding(const HashGridConfig &cfg, std::uint64_t seed
 
     std::size_t total_floats = 0;
     for (int l = 0; l < cfg.levels; ++l) {
-        const double r = static_cast<double>(cfg.baseResolution) * std::pow(growth, l);
-        resolutions_[l] = static_cast<int>(std::floor(r));
-        const std::uint64_t dense_entries =
-            static_cast<std::uint64_t>(resolutions_[l] + 1) * (resolutions_[l] + 1) *
-            (resolutions_[l] + 1);
-        if (dense_entries <= cfg.tableSize()) {
-            dense_[l] = true;
-            entries_[l] = static_cast<std::uint32_t>(dense_entries);
-        } else {
-            dense_[l] = false;
-            entries_[l] = cfg.tableSize();
-        }
+        const LevelLayout lv = levelLayout(cfg, l);
+        resolutions_[l] = lv.resolution;
+        dense_[l] = lv.dense;
+        entries_[l] = lv.entries;
         offsets_[l] = total_floats;
         total_floats += static_cast<std::size_t>(entries_[l]) * cfg.featuresPerLevel;
     }

@@ -217,6 +217,10 @@ class HashGridEncoding
     /** Total parameter count. */
     std::size_t paramCount() const { return param_count_; }
 
+    /** paramCount() of a grid built from @p cfg, computed without
+     *  allocating it (the constructor sizes its table the same way). */
+    static std::size_t paramCountFor(const HashGridConfig &cfg);
+
     /** Parameter bytes at a given precision (for bandwidth accounting). */
     std::size_t paramBytes(int bytes_per_param = 2) const
     {
@@ -263,6 +267,15 @@ class HashGridEncoding
     static constexpr std::uint32_t kPrimeZ = 805459861u;
 
   private:
+    /** Resolution, addressing and entry count of one level. */
+    struct LevelLayout
+    {
+        int resolution;
+        bool dense;
+        std::uint32_t entries;
+    };
+    static LevelLayout levelLayout(const HashGridConfig &cfg, int level);
+
     struct CornerSet
     {
         Vec3i coords[8];

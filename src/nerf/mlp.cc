@@ -21,20 +21,17 @@ Mlp::Mlp(std::vector<int> layer_sizes, std::uint64_t seed)
             fatal("Mlp layer sizes must be positive");
     }
 
-    std::size_t total = 0;
+    // Layer l's weights start after the parameters of layers 0..l-1.
     w_offsets_.resize(layerCount());
     b_offsets_.resize(layerCount());
     for (int l = 0; l < layerCount(); ++l) {
-        const std::size_t fan_in = static_cast<std::size_t>(sizes_[l]);
-        const std::size_t fan_out = static_cast<std::size_t>(sizes_[l + 1]);
-        w_offsets_[l] = total;
-        total += fan_in * fan_out;
-        b_offsets_[l] = total;
-        total += fan_out;
+        w_offsets_[l] = paramCountFor(std::span(sizes_).first(l + 1));
+        b_offsets_[l] =
+            w_offsets_[l] + static_cast<std::size_t>(sizes_[l]) * sizes_[l + 1];
     }
-    params_.resize(total);
-    grads_.assign(total, 0.0f);
-    param_count_ = total;
+    param_count_ = paramCountFor(sizes_);
+    params_.resize(param_count_);
+    grads_.assign(param_count_, 0.0f);
 
     // He-uniform init for the ReLU layers.
     Pcg32 rng(seed, 0xcafef00dd15ea5e5ULL);
@@ -48,6 +45,15 @@ Mlp::Mlp(std::vector<int> layer_sizes, std::uint64_t seed)
         float *b = params_.data() + b_offsets_[l];
         std::fill(b, b + fan_out, 0.0f);
     }
+}
+
+std::size_t
+Mlp::paramCountFor(std::span<const int> layer_sizes)
+{
+    std::size_t total = 0;
+    for (std::size_t l = 0; l + 1 < layer_sizes.size(); ++l)
+        total += (static_cast<std::size_t>(layer_sizes[l]) + 1) * layer_sizes[l + 1];
+    return total;
 }
 
 namespace

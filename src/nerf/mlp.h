@@ -154,6 +154,10 @@ class Mlp
     void zeroGrads();
     std::size_t paramCount() const { return param_count_; }
 
+    /** paramCount() of an Mlp built from @p layer_sizes, computed
+     *  without allocating it (the constructor sizes itself this way). */
+    static std::size_t paramCountFor(std::span<const int> layer_sizes);
+
     /** Multiply-accumulate count of one forward pass (for op accounting). */
     std::uint64_t forwardMacs() const;
 

@@ -111,6 +111,18 @@ treeReduce(std::vector<NerfShardArena> &shards, std::size_t count,
             addInto(shards[i].*member, shards[i + stride].*member);
 }
 
+std::vector<int>
+densityLayers(const NerfModelConfig &cfg)
+{
+    return {cfg.grid.encodedDims(), cfg.densityHidden, 1 + cfg.geoFeatures};
+}
+
+std::vector<int>
+colorLayers(const NerfModelConfig &cfg)
+{
+    return {cfg.geoFeatures + cfg.shDims(), cfg.colorHidden, 3};
+}
+
 } // namespace
 
 NerfModel::NerfModel(const NerfModelConfig &cfg, std::uint64_t seed)
@@ -119,11 +131,16 @@ NerfModel::NerfModel(const NerfModelConfig &cfg, std::uint64_t seed)
     if (cfg.geoFeatures < 1)
         fatal("NerfModel needs at least one geometry feature");
     encoding_ = std::make_unique<HashGridEncoding>(cfg.grid, seed);
-    density_net_ = std::make_unique<Mlp>(
-        std::vector<int>{cfg.grid.encodedDims(), cfg.densityHidden, 1 + cfg.geoFeatures},
-        seed + 1);
-    color_net_ = std::make_unique<Mlp>(
-        std::vector<int>{cfg.geoFeatures + cfg.shDims(), cfg.colorHidden, 3}, seed + 2);
+    density_net_ = std::make_unique<Mlp>(densityLayers(cfg), seed + 1);
+    color_net_ = std::make_unique<Mlp>(colorLayers(cfg), seed + 2);
+}
+
+std::array<std::size_t, 3>
+NerfModel::paramCountsFor(const NerfModelConfig &cfg)
+{
+    return {HashGridEncoding::paramCountFor(cfg.grid),
+            Mlp::paramCountFor(densityLayers(cfg)),
+            Mlp::paramCountFor(colorLayers(cfg))};
 }
 
 PointWorkspace

@@ -9,6 +9,7 @@
 #ifndef FUSION3D_NERF_NERF_MODEL_H_
 #define FUSION3D_NERF_NERF_MODEL_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -129,6 +130,11 @@ class NerfModel
 {
   public:
     explicit NerfModel(const NerfModelConfig &cfg, std::uint64_t seed = 7);
+
+    /** Sizes of the encoding, density-net and color-net parameter
+     *  blocks a model built from @p cfg holds, computed without
+     *  allocating them (the constructor sizes its blocks the same way). */
+    static std::array<std::size_t, 3> paramCountsFor(const NerfModelConfig &cfg);
 
     const NerfModelConfig &config() const { return cfg_; }
     HashGridEncoding &encoding() { return *encoding_; }

@@ -5,8 +5,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fault.h"
@@ -21,27 +25,6 @@ namespace
 {
 
 constexpr char kMagic[4] = {'F', '3', 'D', 'M'};
-// v2: the header carries a CRC32 of the parameter payload.
-constexpr std::uint32_t kVersion = 2;
-
-struct Header
-{
-    char magic[4];
-    std::uint32_t version;
-    std::int32_t levels;
-    std::int32_t featuresPerLevel;
-    std::int32_t log2TableSize;
-    std::int32_t baseResolution;
-    std::int32_t maxResolution;
-    std::int32_t geoFeatures;
-    std::int32_t densityHidden;
-    std::int32_t colorHidden;
-    std::int32_t shDegree;
-    std::uint32_t paramCrc;
-    std::uint64_t encodingParams;
-    std::uint64_t densityParams;
-    std::uint64_t colorParams;
-};
 
 /** CRC-32 (IEEE 802.3, reflected 0xEDB88320), incremental. */
 std::uint32_t
@@ -64,130 +47,422 @@ crc32Update(std::uint32_t crc, const void *data, std::size_t size)
     return ~crc;
 }
 
-std::uint32_t
-paramCrc(const NerfModel &model)
+/** Pointers to a config's dimension fields, in on-disk order. Every
+ *  field is one 4-byte word (i32 or f32), stored as its raw bits. */
+template <class... T>
+auto
+words(T &...fields)
 {
+    static_assert(((sizeof(T) == 4) && ...), "dimension words are 4 bytes");
+    using Ptr = std::conditional_t<(std::is_const_v<T> && ...), const void *, void *>;
+    return std::array<Ptr, sizeof...(T)>{&fields...};
+}
+
+// What each backend supplies to the codec: its config's dimension
+// words, the sanity predicate those words must pass before anything is
+// allocated (bounds no looser than the constructors' own checks), and
+// its parameter blocks. Block sizes come from Model::paramCountsFor.
+
+struct HashGridCodec
+{
+    using Model = NerfModel;
+    using Config = NerfModelConfig;
+    static constexpr BackendKind kKind = BackendKind::hashGrid;
+
+    template <class C>
+    static auto
+    dims(C &c)
+    {
+        return words(c.grid.levels, c.grid.featuresPerLevel, c.grid.log2TableSize,
+                     c.grid.baseResolution, c.grid.maxResolution, c.geoFeatures,
+                     c.densityHidden, c.colorHidden, c.shDegree);
+    }
+
+    static bool
+    sane(const Config &c)
+    {
+        const HashGridConfig &g = c.grid;
+        return g.levels >= 1 && g.levels <= 64 && g.featuresPerLevel >= 1 &&
+               g.featuresPerLevel <= 8 && g.log2TableSize >= 1 &&
+               g.log2TableSize <= 28 && g.baseResolution >= 1 &&
+               g.baseResolution <= g.maxResolution && g.maxResolution <= 65536 &&
+               c.geoFeatures >= 1 && c.geoFeatures <= 256 && c.densityHidden >= 1 &&
+               c.densityHidden <= 4096 && c.colorHidden >= 1 &&
+               c.colorHidden <= 4096 && c.shDegree >= 1 && c.shDegree <= 4;
+    }
+
+    template <class M>
+    static auto
+    blocks(M &m)
+    {
+        return std::array{m.encoding().params(), m.densityNet().params(),
+                          m.colorNet().params()};
+    }
+};
+
+struct FreqCodec
+{
+    using Model = FreqNerfModel;
+    using Config = FreqNerfConfig;
+    static constexpr BackendKind kKind = BackendKind::freqNerf;
+
+    template <class C>
+    static auto
+    dims(C &c)
+    {
+        return words(c.posFrequencies, c.hidden, c.trunkLayers, c.geoFeatures,
+                     c.colorHidden, c.shDegree);
+    }
+
+    static bool
+    sane(const Config &c)
+    {
+        return c.posFrequencies >= 1 && c.posFrequencies <= 16 && c.hidden >= 1 &&
+               c.hidden <= 4096 && c.trunkLayers >= 1 && c.trunkLayers <= 16 &&
+               c.geoFeatures >= 1 && c.geoFeatures <= 256 && c.colorHidden >= 1 &&
+               c.colorHidden <= 4096 && c.shDegree >= 1 && c.shDegree <= 4;
+    }
+
+    template <class M>
+    static auto
+    blocks(M &m)
+    {
+        return std::array{m.trunk().params(), m.colorNet().params()};
+    }
+};
+
+struct TensorfCodec
+{
+    using Model = TensorfModel;
+    using Config = TensorfModelConfig;
+    static constexpr BackendKind kKind = BackendKind::tensorf;
+
+    template <class C>
+    static auto
+    dims(C &c)
+    {
+        return words(c.densityRank, c.appearanceRank, c.lineResolution,
+                     c.appearanceDim, c.colorHidden, c.shDegree, c.densityShift,
+                     c.densityScale);
+    }
+
+    static bool
+    sane(const Config &c)
+    {
+        return c.densityRank >= 1 && c.densityRank <= 256 && c.appearanceRank >= 1 &&
+               c.appearanceRank <= 256 && c.lineResolution >= 2 &&
+               c.lineResolution <= 4096 && c.appearanceDim >= 1 &&
+               c.appearanceDim <= 256 && c.colorHidden >= 1 &&
+               c.colorHidden <= 4096 && c.shDegree >= 1 && c.shDegree <= 4 &&
+               c.densityShift >= -100.0f && c.densityShift <= 100.0f &&
+               c.densityScale > 0.0f && c.densityScale <= 1e6f;
+    }
+
+    template <class M>
+    static auto
+    blocks(M &m)
+    {
+        return std::array{m.factorParams(), m.colorNet().params()};
+    }
+};
+
+/** One artifact as the writer sees it. */
+struct Artifact
+{
+    BackendKind kind = BackendKind::hashGrid;
+    QuantMode quant = QuantMode::fp32;
+    std::vector<std::uint32_t> dims;
+    std::vector<std::span<const float>> blocks;
+    /** Dequantized blocks of a quantized model (what blocks view). */
+    std::vector<std::vector<float>> copies;
+
+    /** v2 for fp32 hash grids (readable by every historical build),
+     *  v4 for quantized ones, v3 for every other backend. */
+    std::uint32_t
+    version() const
+    {
+        if (kind != BackendKind::hashGrid)
+            return 3;
+        return quant == QuantMode::fp32 ? 2 : 4;
+    }
+
+    /** Bytes before the payload: magic, version, the backend tag (v3,
+     *  v4), the quant mode (v4), the dimension words, the CRC-32 and
+     *  one u64 count per block. */
+    std::size_t
+    headerBytes() const
+    {
+        const std::uint32_t v = version();
+        return 8 + (v >= 3 ? 4 : 0) + (v == 4 ? 4 : 0) + 4 * dims.size() + 4 +
+               8 * blocks.size();
+    }
+};
+
+template <class Codec>
+Artifact
+artifactOf(const typename Codec::Model &model)
+{
+    Artifact a;
+    a.kind = Codec::kKind;
+    if constexpr (Codec::kKind == BackendKind::hashGrid)
+        a.quant = model.inferenceQuantMode();
+    for (const void *w : Codec::dims(model.config()))
+        std::memcpy(&a.dims.emplace_back(), w, 4);
+    for (const std::span<const float> b : Codec::blocks(model))
+        a.blocks.push_back(b);
+    return a;
+}
+
+std::optional<Artifact>
+artifactOf(const ServeableField &field)
+{
+    if (const auto *hg = dynamic_cast<const HashGridServeField *>(&field)) {
+        const NerfModel &m = hg->model();
+        Artifact a = artifactOf<HashGridCodec>(m);
+        if (a.quant != QuantMode::fp32) {
+            // A quantized model has no fp32 masters to write. Its packed
+            // image goes out dequantized instead: every stored value is
+            // exactly representable in the packed format (fp16 bits, or
+            // int8 x a per-tensor scale pinned by the max-abs element),
+            // so setInferenceQuant() on load rebuilds it bit-identically.
+            a.copies = {m.encoding().dequantizedParams(),
+                        m.densityNet().dequantizedParams(),
+                        m.colorNet().dequantizedParams()};
+            a.blocks.assign(a.copies.begin(), a.copies.end());
+        }
+        return a;
+    }
+    if (const auto *pf = dynamic_cast<const FreqServeField *>(&field))
+        return artifactOf<FreqCodec>(pf->model());
+    if (const auto *pf = dynamic_cast<const TensorfServeField *>(&field))
+        return artifactOf<TensorfCodec>(pf->model());
+    return std::nullopt;
+}
+
+/**
+ * Write @p a to @p f. With @p crash set, stop after the header and half
+ * of the first block, as a process killed mid-write would.
+ */
+bool
+writeArtifact(std::FILE *f, const Artifact &a, bool crash = false)
+{
+    std::vector<unsigned char> head;
+    const auto put = [&head](const auto &v) {
+        const auto *p = reinterpret_cast<const unsigned char *>(&v);
+        head.insert(head.end(), p, p + sizeof(v));
+    };
     std::uint32_t crc = 0;
-    for (const auto block : {model.encoding().params(),
-                             model.densityNet().params(),
-                             model.colorNet().params()})
-        crc = crc32Update(crc, block.data(), block.size_bytes());
-    return crc;
-}
+    for (const std::span<const float> b : a.blocks)
+        crc = crc32Update(crc, b.data(), b.size_bytes());
 
-Header
-makeHeader(const NerfModel &model)
-{
-    const NerfModelConfig &cfg = model.config();
-    Header h{};
-    std::memcpy(h.magic, kMagic, 4);
-    h.version = kVersion;
-    h.levels = cfg.grid.levels;
-    h.featuresPerLevel = cfg.grid.featuresPerLevel;
-    h.log2TableSize = cfg.grid.log2TableSize;
-    h.baseResolution = cfg.grid.baseResolution;
-    h.maxResolution = cfg.grid.maxResolution;
-    h.geoFeatures = cfg.geoFeatures;
-    h.densityHidden = cfg.densityHidden;
-    h.colorHidden = cfg.colorHidden;
-    h.shDegree = cfg.shDegree;
-    h.paramCrc = paramCrc(model);
-    h.encodingParams = model.encoding().paramCount();
-    h.densityParams = model.densityNet().paramCount();
-    h.colorParams = model.colorNet().paramCount();
-    return h;
-}
+    put(kMagic);
+    put(a.version());
+    if (a.version() >= 3)
+        put(static_cast<std::uint32_t>(a.kind));
+    if (a.version() == 4)
+        put(static_cast<std::uint32_t>(a.quant));
+    for (const std::uint32_t w : a.dims)
+        put(w);
+    put(crc);
+    for (const std::span<const float> b : a.blocks)
+        put(static_cast<std::uint64_t>(b.size()));
 
-bool
-writeBlock(std::FILE *f, std::span<const float> data)
-{
-    return std::fwrite(data.data(), sizeof(float), data.size(), f) == data.size();
-}
-
-bool
-readBlock(std::FILE *f, std::span<float> data)
-{
-    return std::fread(data.data(), sizeof(float), data.size(), f) == data.size();
-}
-
-// v4: quantized hash-grid artifacts (helpers live with the v3 section
-// below; declared here so the v2 writer/reader can dispatch to them).
-constexpr std::uint32_t kVersionV4 = 4;
-bool writeModelV4To(std::FILE *f, const NerfModel &model);
-
-/** Header + all three parameter blocks to an open stream. */
-bool
-writeModelTo(std::FILE *f, const NerfModel &model)
-{
-    // Quantized models have no fp32 masters to write in the v2 layout;
-    // their artifacts carry a v4 quantized weight section instead.
-    if (model.inferenceQuantMode() != QuantMode::fp32)
-        return writeModelV4To(f, model);
-    const Header h = makeHeader(model);
-    bool ok = std::fwrite(&h, sizeof(h), 1, f) == 1;
+    bool ok = std::fwrite(head.data(), 1, head.size(), f) == head.size();
+    if (crash) {
+        (void)std::fwrite(a.blocks[0].data(), sizeof(float), a.blocks[0].size() / 2, f);
+        return false;
+    }
     ok = ok && !F3D_FAULT_POINT("nerf.save.write");
-    ok = ok && writeBlock(f, model.encoding().params());
-    ok = ok && writeBlock(f, model.densityNet().params());
-    ok = ok && writeBlock(f, model.colorNet().params());
+    for (const std::span<const float> b : a.blocks)
+        ok = ok && std::fwrite(b.data(), sizeof(float), b.size(), f) == b.size();
     return ok;
+}
+
+struct FileCloser
+{
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+template <class T>
+bool
+get(std::FILE *f, T &v)
+{
+    return std::fread(&v, sizeof(v), 1, f) == 1;
+}
+
+/** Bytes between @p f's read position and its end. */
+std::uint64_t
+bytesLeft(std::FILE *f)
+{
+    struct stat st
+    {};
+    const long at = std::ftell(f);
+    if (fstat(fileno(f), &st) != 0 || at < 0 || st.st_size < at)
+        return 0;
+    return static_cast<std::uint64_t>(st.st_size - at);
+}
+
+template <class Result>
+Result
+fail(LoadStatus status, std::string message)
+{
+    Result r;
+    r.status = status;
+    r.message = std::move(message);
+    return r;
+}
+
+void
+install(LoadResult &r, std::unique_ptr<NerfModel> model)
+{
+    r.model = std::move(model);
+}
+
+void
+install(FieldLoadResult &r, std::unique_ptr<NerfModel> model)
+{
+    r.field = std::make_unique<HashGridServeField>(std::move(model));
+}
+
+template <class M>
+void
+install(FieldLoadResult &r, std::unique_ptr<M> model)
+{
+    r.field = std::make_unique<PointServeField<M>>(std::move(model));
+}
+
+/**
+ * Read the section of a @p Codec artifact whose prefix is consumed.
+ * Every stored block count is checked against the count the declared
+ * config implies, and against the bytes left in the file, before the
+ * model is allocated.
+ */
+template <class Codec, class Result>
+Result
+readSection(std::FILE *f, const std::string &path, QuantMode quant)
+{
+    const char *name = backendKindName(Codec::kKind);
+    typename Codec::Config cfg;
+    bool ok = true;
+    for (void *w : Codec::dims(cfg))
+        ok = ok && std::fread(w, 4, 1, f) == 1;
+    std::uint32_t crc = 0;
+    std::array<std::uint64_t,
+               std::tuple_size_v<decltype(Codec::Model::paramCountsFor(cfg))>>
+        counts{};
+    if (!(ok && get(f, crc) && get(f, counts)))
+        return fail<Result>(LoadStatus::truncated,
+                            strprintf("'%s' ends inside its %s section header",
+                                      path.c_str(), name));
+    if (!Codec::sane(cfg))
+        return fail<Result>(LoadStatus::headerMismatch,
+                            strprintf("'%s' declares out-of-range %s dimensions",
+                                      path.c_str(), name));
+    const auto expected = Codec::Model::paramCountsFor(cfg);
+    if (!std::equal(counts.begin(), counts.end(), expected.begin()))
+        return fail<Result>(LoadStatus::headerMismatch,
+                            strprintf("parameter counts in '%s' do not match its "
+                                      "declared %s architecture",
+                                      path.c_str(), name));
+    const auto cut_short = [&path] {
+        return fail<Result>(
+            LoadStatus::truncated,
+            strprintf("'%s' ends before its parameter blocks do", path.c_str()));
+    };
+    std::uint64_t payload = 0;
+    for (const std::uint64_t n : counts)
+        payload += n * sizeof(float);
+    if (bytesLeft(f) < payload)
+        return cut_short();
+
+    auto model = std::make_unique<typename Codec::Model>(cfg);
+    ok = !F3D_FAULT_POINT("nerf.load.read");
+    std::uint32_t got = 0;
+    for (const std::span<float> b : Codec::blocks(*model)) {
+        ok = ok && std::fread(b.data(), sizeof(float), b.size(), f) == b.size();
+        got = crc32Update(got, b.data(), b.size_bytes());
+    }
+    if (!ok)
+        return cut_short();
+    // The payload arrived whole; now prove it arrived *intact*.
+    if (got != crc || F3D_FAULT_POINT("nerf.load.crc"))
+        return fail<Result>(
+            LoadStatus::badChecksum,
+            strprintf("parameter payload of '%s' fails its CRC32", path.c_str()));
+
+    if constexpr (Codec::kKind == BackendKind::hashGrid) {
+        if (quant != QuantMode::fp32)
+            model->setInferenceQuant(quant);
+    }
+    Result r;
+    r.status = LoadStatus::ok;
+    install(r, std::move(model));
+    return r;
+}
+
+/** Open @p path once, read its prefix and dispatch to its section. */
+template <class Result>
+Result
+loadArtifact(const std::string &path)
+{
+    const File f(F3D_FAULT_POINT("nerf.load.open") ? nullptr
+                                                   : std::fopen(path.c_str(), "rb"));
+    if (!f)
+        return fail<Result>(LoadStatus::ioError,
+                            strprintf("cannot open '%s'", path.c_str()));
+
+    char magic[4] = {};
+    std::uint32_t version = 0;
+    if (!get(f.get(), magic) || !get(f.get(), version))
+        return fail<Result>(
+            LoadStatus::truncated,
+            strprintf("'%s' is shorter than the 8-byte prefix", path.c_str()));
+    if (std::memcmp(magic, kMagic, 4) != 0)
+        return fail<Result>(LoadStatus::badMagic,
+                            strprintf("'%s' is not an F3DM artifact", path.c_str()));
+    if (version < 2 || version > 4)
+        return fail<Result>(LoadStatus::badVersion,
+                            strprintf("'%s' has format version %u, expected 2, 3 "
+                                      "or 4",
+                                      path.c_str(), version));
+
+    // The whole compatibility shim: v2 carries neither word and is an
+    // fp32 hash grid, v3 is an fp32 FreqNeRF or TensoRF, v4 a hash grid.
+    std::uint32_t kind = 0;
+    std::uint32_t quant = 0;
+    if ((version >= 3 && !get(f.get(), kind)) || (version == 4 && !get(f.get(), quant)))
+        return fail<Result>(LoadStatus::truncated,
+                            strprintf("'%s' ends inside its prefix", path.c_str()));
+    const auto backend = static_cast<BackendKind>(kind);
+    if (kind > static_cast<std::uint32_t>(BackendKind::tensorf) ||
+        (backend == BackendKind::hashGrid) == (version == 3))
+        return fail<Result>(LoadStatus::badBackend,
+                            strprintf("'%s' tags backend kind %u in a v%u container",
+                                      path.c_str(), kind, version));
+    if (quant > static_cast<std::uint32_t>(QuantMode::int8))
+        return fail<Result>(LoadStatus::headerMismatch,
+                            strprintf("'%s' declares unknown quant mode %u",
+                                      path.c_str(), quant));
+
+    const auto mode = static_cast<QuantMode>(quant);
+    if constexpr (std::is_same_v<Result, LoadResult>) {
+        if (backend != BackendKind::hashGrid)
+            return fail<Result>(LoadStatus::badVersion,
+                                strprintf("'%s' holds a %s field, not a hash-grid "
+                                          "model",
+                                          path.c_str(), backendKindName(backend)));
+        return readSection<HashGridCodec, Result>(f.get(), path, mode);
+    } else {
+        if (backend == BackendKind::freqNerf)
+            return readSection<FreqCodec, Result>(f.get(), path, mode);
+        if (backend == BackendKind::tensorf)
+            return readSection<TensorfCodec, Result>(f.get(), path, mode);
+        return readSection<HashGridCodec, Result>(f.get(), path, mode);
+    }
 }
 
 } // namespace
-
-bool
-saveModel(const NerfModel &model, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    const bool ok = writeModelTo(f, model);
-    std::fclose(f);
-    return ok;
-}
-
-bool
-saveModelAtomic(const NerfModel &model, const std::string &path)
-{
-    const std::string tmp = path + ".tmp";
-    std::FILE *f =
-        F3D_FAULT_POINT("trainer.ckpt.open") ? nullptr : std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("saveModelAtomic: cannot open '%s'", tmp.c_str());
-        return false;
-    }
-
-    if (F3D_FAULT_POINT("trainer.ckpt.write")) {
-        // Simulated crash mid-write: the header and half of the first
-        // parameter block land in the temp file, nothing is renamed,
-        // and the destination keeps whatever it held before.
-        const Header h = makeHeader(model);
-        const auto enc = model.encoding().params();
-        (void)std::fwrite(&h, sizeof(h), 1, f);
-        (void)std::fwrite(enc.data(), sizeof(float), enc.size() / 2, f);
-        std::fclose(f);
-        warn("saveModelAtomic: injected crash while writing '%s'", tmp.c_str());
-        return false;
-    }
-
-    bool ok = writeModelTo(f, model);
-    ok = ok && std::fflush(f) == 0;
-    // fsync before the rename: otherwise a real crash could leave the
-    // new name pointing at not-yet-durable data.
-    ok = ok && fsync(fileno(f)) == 0;
-    std::fclose(f);
-    if (!ok) {
-        std::remove(tmp.c_str());
-        warn("saveModelAtomic: write to '%s' failed", tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        warn("saveModelAtomic: cannot rename '%s' to '%s'", tmp.c_str(),
-             path.c_str());
-        return false;
-    }
-    return true;
-}
 
 const char *
 loadStatusName(LoadStatus status)
@@ -213,129 +488,84 @@ loadStatusName(LoadStatus status)
     return "?";
 }
 
-namespace
-{
-
-LoadResult
-loadFailure(LoadStatus status, std::string message)
-{
-    LoadResult r;
-    r.status = status;
-    r.message = std::move(message);
-    return r;
-}
-
-/** Reject headers whose dimensions could not have come from saveModel()
- *  before they reach the NerfModel constructor (and its allocations). */
 bool
-headerDimensionsSane(const Header &h)
+saveField(const ServeableField &field, const std::string &path)
 {
-    return h.levels >= 1 && h.levels <= 64 && h.featuresPerLevel >= 1 &&
-           h.featuresPerLevel <= 16 && h.log2TableSize >= 1 &&
-           h.log2TableSize <= 28 && h.baseResolution >= 1 &&
-           h.baseResolution <= h.maxResolution && h.maxResolution <= 65536 &&
-           h.geoFeatures >= 1 && h.geoFeatures <= 256 && h.densityHidden >= 1 &&
-           h.densityHidden <= 4096 && h.colorHidden >= 1 &&
-           h.colorHidden <= 4096 && h.shDegree >= 1 && h.shDegree <= 4;
+    const std::optional<Artifact> a = artifactOf(field);
+    const File f(a ? std::fopen(path.c_str(), "wb") : nullptr);
+    return f && writeArtifact(f.get(), *a);
 }
 
-LoadResult loadModelV4(std::FILE *f, const std::string &path);
+bool
+saveFieldAtomic(const ServeableField &field, const std::string &path)
+{
+    const std::optional<Artifact> a = artifactOf(field);
+    if (!a)
+        return false;
+    const std::string tmp = path + ".tmp";
+    std::FILE *f =
+        F3D_FAULT_POINT("trainer.ckpt.open") ? nullptr : std::fopen(tmp.c_str(), "wb");
+    if (!f) {
+        warn("saveFieldAtomic: cannot open '%s'", tmp.c_str());
+        return false;
+    }
+    // An injected crash leaves a partial temp file behind, renames
+    // nothing, and so keeps whatever the destination held before.
+    const bool crash = F3D_FAULT_POINT("trainer.ckpt.write");
+    // fsync before the rename: otherwise a real crash could leave the
+    // new name pointing at not-yet-durable data.
+    const bool ok = writeArtifact(f, *a, crash) && std::fflush(f) == 0 &&
+                    fsync(fileno(f)) == 0;
+    std::fclose(f);
+    if (crash) {
+        warn("saveFieldAtomic: injected crash while writing '%s'", tmp.c_str());
+        return false;
+    }
+    if (!ok) {
+        std::remove(tmp.c_str());
+        warn("saveFieldAtomic: write to '%s' failed", tmp.c_str());
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        warn("saveFieldAtomic: cannot rename '%s' to '%s'", tmp.c_str(),
+             path.c_str());
+        return false;
+    }
+    return true;
+}
 
-} // namespace
+FieldLoadResult
+loadFieldVerbose(const std::string &path)
+{
+    return loadArtifact<FieldLoadResult>(path);
+}
+
+std::unique_ptr<ServeableField>
+loadField(const std::string &path)
+{
+    FieldLoadResult r = loadFieldVerbose(path);
+    if (!r)
+        warn("loadField: %s: %s", loadStatusName(r.status), r.message.c_str());
+    return std::move(r.field);
+}
+
+bool
+saveModel(const NerfModel &model, const std::string &path)
+{
+    return saveField(HashGridServeField(model), path);
+}
+
+bool
+saveModelAtomic(const NerfModel &model, const std::string &path)
+{
+    return saveFieldAtomic(HashGridServeField(model), path);
+}
 
 LoadResult
 loadModelVerbose(const std::string &path)
 {
-    std::FILE *f =
-        F3D_FAULT_POINT("nerf.load.open") ? nullptr : std::fopen(path.c_str(), "rb");
-    if (!f)
-        return loadFailure(LoadStatus::ioError,
-                           strprintf("cannot open '%s'", path.c_str()));
-
-    Header h{};
-    // Magic + version first: a v4 (quantized) artifact diverges from the
-    // v2 header layout right after this 8-byte prefix.
-    if (std::fread(&h, sizeof(h.magic) + sizeof(h.version), 1, f) != 1) {
-        std::fclose(f);
-        return loadFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' is shorter than the 8-byte prefix", path.c_str()));
-    }
-    if (std::memcmp(h.magic, kMagic, 4) != 0) {
-        std::fclose(f);
-        return loadFailure(LoadStatus::badMagic,
-                           strprintf("'%s' is not an F3DM artifact", path.c_str()));
-    }
-    if (h.version == kVersionV4) {
-        LoadResult r = loadModelV4(f, path);
-        std::fclose(f);
-        return r;
-    }
-    if (h.version != kVersion) {
-        std::fclose(f);
-        return loadFailure(LoadStatus::badVersion,
-                           strprintf("'%s' has format version %u, expected %u "
-                                     "or %u",
-                                     path.c_str(), h.version, kVersion,
-                                     kVersionV4));
-    }
-    if (std::fread(reinterpret_cast<char *>(&h) + 8, sizeof(h) - 8, 1, f) != 1) {
-        std::fclose(f);
-        return loadFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' is shorter than the %zu-byte header", path.c_str(),
-                      sizeof(Header)));
-    }
-    if (!headerDimensionsSane(h)) {
-        std::fclose(f);
-        return loadFailure(
-            LoadStatus::headerMismatch,
-            strprintf("'%s' declares out-of-range model dimensions", path.c_str()));
-    }
-
-    NerfModelConfig cfg;
-    cfg.grid.levels = h.levels;
-    cfg.grid.featuresPerLevel = h.featuresPerLevel;
-    cfg.grid.log2TableSize = h.log2TableSize;
-    cfg.grid.baseResolution = h.baseResolution;
-    cfg.grid.maxResolution = h.maxResolution;
-    cfg.geoFeatures = h.geoFeatures;
-    cfg.densityHidden = h.densityHidden;
-    cfg.colorHidden = h.colorHidden;
-    cfg.shDegree = h.shDegree;
-
-    auto model = std::make_unique<NerfModel>(cfg);
-    if (model->encoding().paramCount() != h.encodingParams ||
-        model->densityNet().paramCount() != h.densityParams ||
-        model->colorNet().paramCount() != h.colorParams) {
-        std::fclose(f);
-        return loadFailure(
-            LoadStatus::headerMismatch,
-            strprintf("parameter counts in '%s' do not match its declared "
-                      "architecture",
-                      path.c_str()));
-    }
-
-    bool ok = !F3D_FAULT_POINT("nerf.load.read");
-    ok = ok && readBlock(f, model->encoding().params());
-    ok = ok && readBlock(f, model->densityNet().params());
-    ok = ok && readBlock(f, model->colorNet().params());
-    std::fclose(f);
-    if (!ok)
-        return loadFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends before its parameter blocks do", path.c_str()));
-
-    // The payload arrived whole; now prove it arrived *intact*.
-    if (paramCrc(*model) != h.paramCrc || F3D_FAULT_POINT("nerf.load.crc"))
-        return loadFailure(
-            LoadStatus::badChecksum,
-            strprintf("parameter payload of '%s' fails its CRC32", path.c_str()));
-
-    LoadResult r;
-    r.model = std::move(model);
-    r.status = LoadStatus::ok;
-    return r;
+    return loadArtifact<LoadResult>(path);
 }
 
 std::unique_ptr<NerfModel>
@@ -345,6 +575,13 @@ loadModel(const std::string &path)
     if (!r)
         warn("loadModel: %s: %s", loadStatusName(r.status), r.message.c_str());
     return std::move(r.model);
+}
+
+std::size_t
+modelFootprintBytes(const NerfModel &model, int bytes_per_param)
+{
+    return artifactOf<HashGridCodec>(model).headerBytes() +
+           model.paramCount() * static_cast<std::size_t>(bytes_per_param);
 }
 
 bool
@@ -372,570 +609,6 @@ loadInto(NerfModel &dst, const NerfModel &src)
     copy_block(src.densityNet().params(), dst.densityNet().params());
     copy_block(src.colorNet().params(), dst.colorNet().params());
     return true;
-}
-
-std::size_t
-modelFootprintBytes(const NerfModel &model, int bytes_per_param)
-{
-    return sizeof(Header) +
-           model.paramCount() * static_cast<std::size_t>(bytes_per_param);
-}
-
-// ---------------------------------------------------------------------------
-// v3: backend-polymorphic artifacts.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-
-constexpr std::uint32_t kVersionV3 = 3;
-
-// Field-by-field I/O (no struct padding ambiguity in the v3 sections).
-bool
-writeU32(std::FILE *f, std::uint32_t v)
-{
-    return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-writeI32(std::FILE *f, std::int32_t v)
-{
-    return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-writeF32(std::FILE *f, float v)
-{
-    return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-writeU64(std::FILE *f, std::uint64_t v)
-{
-    return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-readU32(std::FILE *f, std::uint32_t &v)
-{
-    return std::fread(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-readI32(std::FILE *f, std::int32_t &v)
-{
-    return std::fread(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-readF32(std::FILE *f, float &v)
-{
-    return std::fread(&v, sizeof(v), 1, f) == 1;
-}
-
-bool
-readU64(std::FILE *f, std::uint64_t &v)
-{
-    return std::fread(&v, sizeof(v), 1, f) == 1;
-}
-
-std::uint32_t
-blocksCrc(std::initializer_list<std::span<const float>> blocks)
-{
-    std::uint32_t crc = 0;
-    for (const auto block : blocks)
-        crc = crc32Update(crc, block.data(), block.size_bytes());
-    return crc;
-}
-
-/** "F3DM", version 3, backend tag. */
-bool
-writeV3Prefix(std::FILE *f, BackendKind kind)
-{
-    return std::fwrite(kMagic, sizeof(kMagic), 1, f) == 1 &&
-           writeU32(f, kVersionV3) &&
-           writeU32(f, static_cast<std::uint32_t>(kind));
-}
-
-/** Freq section: 6 i32 dims, CRC32, 2 u64 counts, 2 payload blocks. */
-bool
-writeFreqSection(std::FILE *f, const FreqNerfModel &model)
-{
-    const FreqNerfConfig &cfg = model.config();
-    bool ok = writeI32(f, cfg.posFrequencies) && writeI32(f, cfg.hidden) &&
-              writeI32(f, cfg.trunkLayers) && writeI32(f, cfg.geoFeatures) &&
-              writeI32(f, cfg.colorHidden) && writeI32(f, cfg.shDegree);
-    ok = ok && writeU32(f, blocksCrc({model.trunk().params(),
-                                      model.colorNet().params()}));
-    ok = ok && writeU64(f, model.trunk().paramCount()) &&
-         writeU64(f, model.colorNet().paramCount());
-    ok = ok && !F3D_FAULT_POINT("nerf.save.write");
-    ok = ok && writeBlock(f, model.trunk().params());
-    ok = ok && writeBlock(f, model.colorNet().params());
-    return ok;
-}
-
-/** TensoRF section: 6 i32 + 2 f32 dims, CRC32, 2 u64 counts, 2 blocks. */
-bool
-writeTensorfSection(std::FILE *f, const TensorfModel &model)
-{
-    const TensorfModelConfig &cfg = model.config();
-    bool ok = writeI32(f, cfg.densityRank) && writeI32(f, cfg.appearanceRank) &&
-              writeI32(f, cfg.lineResolution) && writeI32(f, cfg.appearanceDim) &&
-              writeI32(f, cfg.colorHidden) && writeI32(f, cfg.shDegree);
-    ok = ok && writeF32(f, cfg.densityShift) && writeF32(f, cfg.densityScale);
-    ok = ok && writeU32(f, blocksCrc({model.factorParams(),
-                                      model.colorNet().params()}));
-    ok = ok && writeU64(f, model.factorParams().size()) &&
-         writeU64(f, model.colorNet().paramCount());
-    ok = ok && !F3D_FAULT_POINT("nerf.save.write");
-    ok = ok && writeBlock(f, model.factorParams());
-    ok = ok && writeBlock(f, model.colorNet().params());
-    return ok;
-}
-
-/** Serialize @p field to an open stream in its backend's format. */
-bool
-writeFieldTo(std::FILE *f, const ServeableField &field)
-{
-    switch (field.kind()) {
-      case BackendKind::hashGrid: {
-        const auto *hg = dynamic_cast<const HashGridServeField *>(&field);
-        if (!hg)
-            return false;
-        return writeModelTo(f, hg->model()); // v2 layout
-      }
-      case BackendKind::freqNerf: {
-        const auto *pf = dynamic_cast<const FreqServeField *>(&field);
-        if (!pf)
-            return false;
-        return writeV3Prefix(f, BackendKind::freqNerf) &&
-               writeFreqSection(f, pf->model());
-      }
-      case BackendKind::tensorf: {
-        const auto *pf = dynamic_cast<const TensorfServeField *>(&field);
-        if (!pf)
-            return false;
-        return writeV3Prefix(f, BackendKind::tensorf) &&
-               writeTensorfSection(f, pf->model());
-      }
-    }
-    return false;
-}
-
-/**
- * v4: quantized hash-grid artifact. Layout: "F3DM", u32 version 4,
- * u32 backend tag (hash_grid), u32 quant mode, the nine architecture
- * dims, CRC32 over the three dequantized fp32 blocks, three u64
- * counts, and the three blocks. Weights are stored *dequantized*:
- * every stored value is exactly representable in the packed format
- * (fp16 bits, or int8 × per-tensor scale whose max-abs element always
- * requantizes to ±127), so the loader rebuilds a bit-identical packed
- * image via setInferenceQuant() and drops the fp32 masters — the
- * loaded replica is resident at quantized width even though the disk
- * format stays fp32-wide.
- */
-bool
-writeModelV4To(std::FILE *f, const NerfModel &model)
-{
-    const NerfModelConfig &cfg = model.config();
-    const std::vector<float> enc = model.encoding().dequantizedParams();
-    const std::vector<float> den = model.densityNet().dequantizedParams();
-    const std::vector<float> col = model.colorNet().dequantizedParams();
-    bool ok = std::fwrite(kMagic, sizeof(kMagic), 1, f) == 1 &&
-              writeU32(f, kVersionV4) &&
-              writeU32(f, static_cast<std::uint32_t>(BackendKind::hashGrid)) &&
-              writeU32(f, static_cast<std::uint32_t>(model.inferenceQuantMode()));
-    ok = ok && writeI32(f, cfg.grid.levels) &&
-         writeI32(f, cfg.grid.featuresPerLevel) &&
-         writeI32(f, cfg.grid.log2TableSize) &&
-         writeI32(f, cfg.grid.baseResolution) &&
-         writeI32(f, cfg.grid.maxResolution) && writeI32(f, cfg.geoFeatures) &&
-         writeI32(f, cfg.densityHidden) && writeI32(f, cfg.colorHidden) &&
-         writeI32(f, cfg.shDegree);
-    ok = ok && writeU32(f, blocksCrc({enc, den, col}));
-    ok = ok && writeU64(f, enc.size()) && writeU64(f, den.size()) &&
-         writeU64(f, col.size());
-    ok = ok && !F3D_FAULT_POINT("nerf.save.write");
-    ok = ok && writeBlock(f, enc);
-    ok = ok && writeBlock(f, den);
-    ok = ok && writeBlock(f, col);
-    return ok;
-}
-
-/** Body of a v4 artifact; the 8-byte prefix is already consumed. */
-LoadResult
-loadModelV4(std::FILE *f, const std::string &path)
-{
-    std::uint32_t kind = 0;
-    std::uint32_t qmode = 0;
-    Header h{}; // dimension fields only (sanity check + config build)
-    if (!(readU32(f, kind) && readU32(f, qmode) && readI32(f, h.levels) &&
-          readI32(f, h.featuresPerLevel) && readI32(f, h.log2TableSize) &&
-          readI32(f, h.baseResolution) && readI32(f, h.maxResolution) &&
-          readI32(f, h.geoFeatures) && readI32(f, h.densityHidden) &&
-          readI32(f, h.colorHidden) && readI32(f, h.shDegree)))
-        return loadFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends inside its v4 section header", path.c_str()));
-    if (static_cast<BackendKind>(kind) != BackendKind::hashGrid)
-        return loadFailure(
-            LoadStatus::badBackend,
-            strprintf("'%s' tags backend kind %u in a v4 (quantized "
-                      "hash_grid) container",
-                      path.c_str(), kind));
-    if (qmode > static_cast<std::uint32_t>(QuantMode::int8))
-        return loadFailure(
-            LoadStatus::headerMismatch,
-            strprintf("'%s' declares unknown quant mode %u", path.c_str(),
-                      qmode));
-    if (!headerDimensionsSane(h))
-        return loadFailure(
-            LoadStatus::headerMismatch,
-            strprintf("'%s' declares out-of-range model dimensions", path.c_str()));
-
-    std::uint32_t crc = 0;
-    std::uint64_t enc_n = 0;
-    std::uint64_t den_n = 0;
-    std::uint64_t col_n = 0;
-    if (!(readU32(f, crc) && readU64(f, enc_n) && readU64(f, den_n) &&
-          readU64(f, col_n)))
-        return loadFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends inside its v4 section header", path.c_str()));
-
-    NerfModelConfig cfg;
-    cfg.grid.levels = h.levels;
-    cfg.grid.featuresPerLevel = h.featuresPerLevel;
-    cfg.grid.log2TableSize = h.log2TableSize;
-    cfg.grid.baseResolution = h.baseResolution;
-    cfg.grid.maxResolution = h.maxResolution;
-    cfg.geoFeatures = h.geoFeatures;
-    cfg.densityHidden = h.densityHidden;
-    cfg.colorHidden = h.colorHidden;
-    cfg.shDegree = h.shDegree;
-
-    auto model = std::make_unique<NerfModel>(cfg);
-    if (model->encoding().paramCount() != enc_n ||
-        model->densityNet().paramCount() != den_n ||
-        model->colorNet().paramCount() != col_n)
-        return loadFailure(
-            LoadStatus::headerMismatch,
-            strprintf("parameter counts in '%s' do not match its declared "
-                      "architecture",
-                      path.c_str()));
-
-    bool ok = !F3D_FAULT_POINT("nerf.load.read");
-    ok = ok && readBlock(f, model->encoding().params());
-    ok = ok && readBlock(f, model->densityNet().params());
-    ok = ok && readBlock(f, model->colorNet().params());
-    if (!ok)
-        return loadFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends before its parameter blocks do", path.c_str()));
-
-    if (paramCrc(*model) != crc || F3D_FAULT_POINT("nerf.load.crc"))
-        return loadFailure(
-            LoadStatus::badChecksum,
-            strprintf("parameter payload of '%s' fails its CRC32", path.c_str()));
-
-    // Rebuild the packed image the saver held (bit-identical: the
-    // stored dequantized values requantize to the same bits and
-    // scales), then drop the fp32 masters again.
-    const QuantMode mode = static_cast<QuantMode>(qmode);
-    if (mode != QuantMode::fp32)
-        model->setInferenceQuant(mode);
-
-    LoadResult r;
-    r.model = std::move(model);
-    r.status = LoadStatus::ok;
-    return r;
-}
-
-FieldLoadResult
-fieldFailure(LoadStatus status, std::string message)
-{
-    FieldLoadResult r;
-    r.status = status;
-    r.message = std::move(message);
-    return r;
-}
-
-bool
-freqDimensionsSane(const FreqNerfConfig &cfg)
-{
-    return cfg.posFrequencies >= 1 && cfg.posFrequencies <= 16 &&
-           cfg.hidden >= 1 && cfg.hidden <= 4096 && cfg.trunkLayers >= 1 &&
-           cfg.trunkLayers <= 16 && cfg.geoFeatures >= 1 &&
-           cfg.geoFeatures <= 256 && cfg.colorHidden >= 1 &&
-           cfg.colorHidden <= 4096 && cfg.shDegree >= 1 && cfg.shDegree <= 4;
-}
-
-bool
-tensorfDimensionsSane(const TensorfModelConfig &cfg)
-{
-    return cfg.densityRank >= 1 && cfg.densityRank <= 256 &&
-           cfg.appearanceRank >= 1 && cfg.appearanceRank <= 256 &&
-           cfg.lineResolution >= 2 && cfg.lineResolution <= 4096 &&
-           cfg.appearanceDim >= 1 && cfg.appearanceDim <= 256 &&
-           cfg.colorHidden >= 1 && cfg.colorHidden <= 4096 && cfg.shDegree >= 1 &&
-           cfg.shDegree <= 4 && cfg.densityShift >= -100.0f &&
-           cfg.densityShift <= 100.0f && cfg.densityScale > 0.0f &&
-           cfg.densityScale <= 1e6f;
-}
-
-FieldLoadResult
-loadFreqSection(std::FILE *f, const std::string &path)
-{
-    FreqNerfConfig cfg;
-    std::uint32_t crc = 0;
-    std::uint64_t trunk_params = 0;
-    std::uint64_t color_params = 0;
-    if (!(readI32(f, cfg.posFrequencies) && readI32(f, cfg.hidden) &&
-          readI32(f, cfg.trunkLayers) && readI32(f, cfg.geoFeatures) &&
-          readI32(f, cfg.colorHidden) && readI32(f, cfg.shDegree) &&
-          readU32(f, crc) && readU64(f, trunk_params) &&
-          readU64(f, color_params)))
-        return fieldFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends inside its freq_nerf section header",
-                      path.c_str()));
-    if (!freqDimensionsSane(cfg))
-        return fieldFailure(
-            LoadStatus::headerMismatch,
-            strprintf("'%s' declares out-of-range freq_nerf dimensions",
-                      path.c_str()));
-
-    auto model = std::make_unique<FreqNerfModel>(cfg);
-    if (model->trunk().paramCount() != trunk_params ||
-        model->colorNet().paramCount() != color_params)
-        return fieldFailure(
-            LoadStatus::headerMismatch,
-            strprintf("parameter counts in '%s' do not match its declared "
-                      "freq_nerf architecture",
-                      path.c_str()));
-
-    bool ok = !F3D_FAULT_POINT("nerf.load.read");
-    ok = ok && readBlock(f, model->trunk().params());
-    ok = ok && readBlock(f, model->colorNet().params());
-    if (!ok)
-        return fieldFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends before its parameter blocks do", path.c_str()));
-
-    if (blocksCrc({model->trunk().params(), model->colorNet().params()}) != crc ||
-        F3D_FAULT_POINT("nerf.load.crc"))
-        return fieldFailure(
-            LoadStatus::badChecksum,
-            strprintf("parameter payload of '%s' fails its CRC32", path.c_str()));
-
-    FieldLoadResult r;
-    r.field = std::make_unique<FreqServeField>(std::move(model));
-    r.status = LoadStatus::ok;
-    return r;
-}
-
-FieldLoadResult
-loadTensorfSection(std::FILE *f, const std::string &path)
-{
-    TensorfModelConfig cfg;
-    std::uint32_t crc = 0;
-    std::uint64_t factor_params = 0;
-    std::uint64_t net_params = 0;
-    if (!(readI32(f, cfg.densityRank) && readI32(f, cfg.appearanceRank) &&
-          readI32(f, cfg.lineResolution) && readI32(f, cfg.appearanceDim) &&
-          readI32(f, cfg.colorHidden) && readI32(f, cfg.shDegree) &&
-          readF32(f, cfg.densityShift) && readF32(f, cfg.densityScale) &&
-          readU32(f, crc) && readU64(f, factor_params) && readU64(f, net_params)))
-        return fieldFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends inside its tensorf section header",
-                      path.c_str()));
-    if (!tensorfDimensionsSane(cfg))
-        return fieldFailure(
-            LoadStatus::headerMismatch,
-            strprintf("'%s' declares out-of-range tensorf dimensions",
-                      path.c_str()));
-
-    auto model = std::make_unique<TensorfModel>(cfg);
-    if (model->factorParams().size() != factor_params ||
-        model->colorNet().paramCount() != net_params)
-        return fieldFailure(
-            LoadStatus::headerMismatch,
-            strprintf("parameter counts in '%s' do not match its declared "
-                      "tensorf architecture",
-                      path.c_str()));
-
-    bool ok = !F3D_FAULT_POINT("nerf.load.read");
-    ok = ok && readBlock(f, model->factorParams());
-    ok = ok && readBlock(f, model->colorNet().params());
-    if (!ok)
-        return fieldFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends before its parameter blocks do", path.c_str()));
-
-    if (blocksCrc({model->factorParams(), model->colorNet().params()}) != crc ||
-        F3D_FAULT_POINT("nerf.load.crc"))
-        return fieldFailure(
-            LoadStatus::badChecksum,
-            strprintf("parameter payload of '%s' fails its CRC32", path.c_str()));
-
-    FieldLoadResult r;
-    r.field = std::make_unique<TensorfServeField>(std::move(model));
-    r.status = LoadStatus::ok;
-    return r;
-}
-
-} // namespace
-
-bool
-saveField(const ServeableField &field, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    const bool ok = writeFieldTo(f, field);
-    std::fclose(f);
-    return ok;
-}
-
-bool
-saveFieldAtomic(const ServeableField &field, const std::string &path)
-{
-    if (field.kind() == BackendKind::hashGrid) {
-        const auto *hg = dynamic_cast<const HashGridServeField *>(&field);
-        return hg && saveModelAtomic(hg->model(), path);
-    }
-
-    const std::string tmp = path + ".tmp";
-    std::FILE *f =
-        F3D_FAULT_POINT("trainer.ckpt.open") ? nullptr : std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("saveFieldAtomic: cannot open '%s'", tmp.c_str());
-        return false;
-    }
-    bool ok = writeFieldTo(f, field);
-    ok = ok && std::fflush(f) == 0;
-    ok = ok && fsync(fileno(f)) == 0;
-    std::fclose(f);
-    if (!ok) {
-        std::remove(tmp.c_str());
-        warn("saveFieldAtomic: write to '%s' failed", tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        warn("saveFieldAtomic: cannot rename '%s' to '%s'", tmp.c_str(),
-             path.c_str());
-        return false;
-    }
-    return true;
-}
-
-FieldLoadResult
-loadFieldVerbose(const std::string &path)
-{
-    std::FILE *f =
-        F3D_FAULT_POINT("nerf.load.open") ? nullptr : std::fopen(path.c_str(), "rb");
-    if (!f)
-        return fieldFailure(LoadStatus::ioError,
-                            strprintf("cannot open '%s'", path.c_str()));
-
-    char magic[4] = {};
-    std::uint32_t version = 0;
-    if (std::fread(magic, sizeof(magic), 1, f) != 1 || !readU32(f, version)) {
-        std::fclose(f);
-        return fieldFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' is shorter than the 8-byte prefix", path.c_str()));
-    }
-    if (std::memcmp(magic, kMagic, 4) != 0) {
-        std::fclose(f);
-        return fieldFailure(LoadStatus::badMagic,
-                            strprintf("'%s' is not an F3DM artifact", path.c_str()));
-    }
-
-    if (version == kVersion || version == kVersionV4) {
-        // Hash-grid artifact (v2 fp32 or v4 quantized): reuse the model
-        // reader end to end so its diagnostics stay byte-for-byte
-        // identical.
-        std::fclose(f);
-        LoadResult legacy = loadModelVerbose(path);
-        FieldLoadResult r;
-        r.status = legacy.status;
-        r.message = std::move(legacy.message);
-        if (legacy.model)
-            r.field = std::make_unique<HashGridServeField>(std::move(legacy.model));
-        return r;
-    }
-    if (version != kVersionV3) {
-        std::fclose(f);
-        return fieldFailure(LoadStatus::badVersion,
-                            strprintf("'%s' has format version %u, expected %u "
-                                      "or %u",
-                                      path.c_str(), version, kVersion,
-                                      kVersionV3));
-    }
-
-    std::uint32_t kind = 0;
-    if (!readU32(f, kind)) {
-        std::fclose(f);
-        return fieldFailure(
-            LoadStatus::truncated,
-            strprintf("'%s' ends before its backend tag", path.c_str()));
-    }
-
-    FieldLoadResult r;
-    switch (static_cast<BackendKind>(kind)) {
-      case BackendKind::hashGrid:
-        // v3 never carries a hash-grid section (those stay v2).
-        r = fieldFailure(
-            LoadStatus::badBackend,
-            strprintf("'%s' tags a hash_grid section in a v3 container",
-                      path.c_str()));
-        break;
-      case BackendKind::freqNerf:
-        r = loadFreqSection(f, path);
-        break;
-      case BackendKind::tensorf:
-        r = loadTensorfSection(f, path);
-        break;
-      default:
-        r = fieldFailure(
-            LoadStatus::badBackend,
-            strprintf("'%s' declares unknown backend kind %u", path.c_str(),
-                      kind));
-        break;
-    }
-    std::fclose(f);
-    return r;
-}
-
-std::unique_ptr<ServeableField>
-loadField(const std::string &path)
-{
-    FieldLoadResult r = loadFieldVerbose(path);
-    if (!r)
-        warn("loadField: %s: %s", loadStatusName(r.status), r.message.c_str());
-    return std::move(r.field);
-}
-
-std::size_t
-fieldFootprintBytes(const ServeableField &field, int bytes_per_param)
-{
-    const std::size_t params =
-        field.paramCount() * static_cast<std::size_t>(bytes_per_param);
-    switch (field.kind()) {
-      case BackendKind::hashGrid:
-        return sizeof(Header) + params;
-      case BackendKind::freqNerf:
-        // prefix (12) + 6 i32 + crc + 2 u64.
-        return 12 + 6 * 4 + 4 + 2 * 8 + params;
-      case BackendKind::tensorf:
-        // prefix (12) + 6 i32 + 2 f32 + crc + 2 u64.
-        return 12 + 6 * 4 + 2 * 4 + 4 + 2 * 8 + params;
-    }
-    return params;
 }
 
 } // namespace fusion3d::nerf

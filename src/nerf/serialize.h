@@ -1,29 +1,34 @@
 /**
  * @file
- * Binary model serialization. The paper's deployment story leans on the
- * small NeRF footprint (~10 MB) for transmission over the bandwidth-
- * constrained edge link; this is the writer/reader for that artifact.
+ * The .f3dm model artifact: the deployment payload the paper streams
+ * over its bandwidth-constrained edge link. One little-endian layout
+ * serves every backend — a prefix, then one section:
  *
- * Format v2 (little-endian): magic "F3DM", u32 version, the
- * HashGridConfig and MLP dimensions, a CRC32 of the parameter payload,
- * then the three parameter blocks as raw float32. The CRC catches the
- * corruption truncation checks cannot (bit flips inside a full-length
- * payload), which matters once artifacts cross the paper's bandwidth-
- * constrained edge link.
+ *   version | prefix after "F3DM", u32 version | written for
+ *   --------|----------------------------------|----------------------
+ *   2       | (none)                           | fp32 hash grid
+ *   3       | u32 BackendKind                  | FreqNeRF, TensoRF
+ *   4       | u32 BackendKind, u32 QuantMode   | fp16/int8 hash grid
  *
- * Format v3 (little-endian) makes the artifact backend-polymorphic:
- * magic "F3DM", u32 version = 3, u32 BackendKind tag, then one
- * per-backend section — architecture dimensions, a CRC32 of the
- * parameter payload, the stored per-block parameter counts, and the
- * raw float32 parameter blocks. saveField()/loadFieldVerbose() are the
- * backend-polymorphic entry points; hash-grid fields keep writing v2
- * (so every historical reader still loads them) and v2 artifacts load
- * through loadFieldVerbose() as hash-grid fields unchanged.
+ *   section: the config's i32/f32 dimension words, a CRC-32 of the
+ *   payload, one u64 count per parameter block, the float32 blocks.
  *
- * Checkpointing uses saveModelAtomic(): write to "<path>.tmp", fsync,
- * then rename over the destination — a crash mid-write (exercised by
- * the "trainer.ckpt.write" fault point) can orphan a temp file but can
- * never leave a partial artifact at the final path.
+ * v2 is the historical 72-byte header (CRC at byte 44), so every build
+ * still reads what this one writes for an fp32 hash grid. v4 stores a
+ * quantized image dequantized; loading requantizes it bit-identically.
+ * A v3 file tagging a hash grid, a v4 file tagging anything else, or
+ * an unknown tag is LoadStatus::badBackend.
+ *
+ * The loader opens the file once ("nerf.load.open" fires once per
+ * load) and validates before it allocates: the dimensions must pass
+ * the backend's sanity bounds, the stored counts must equal the counts
+ * the dimensions imply, and the file must hold that many payload
+ * bytes — all before the model is built.
+ *
+ * saveFieldAtomic() writes "<path>.tmp", fsyncs, then renames over
+ * the destination, so a crash mid-write (the "trainer.ckpt.write"
+ * fault point writes the header and half of the first block) can
+ * orphan a temp file but never leave a partial artifact at the path.
  */
 
 #ifndef FUSION3D_NERF_SERIALIZE_H_
@@ -67,7 +72,7 @@ enum class LoadStatus
     truncated,
     /** The parameter payload does not match the header's CRC32. */
     badChecksum,
-    /** A v3 artifact declares a backend kind this build does not know. */
+    /** The backend tag is unknown or does not fit the version. */
     badBackend,
 };
 
@@ -88,7 +93,8 @@ struct LoadResult
 /**
  * Load a model saved by saveModel(), reporting *why* a failure
  * happened — I/O error, bad magic, unsupported version, inconsistent
- * header, or a truncated parameter payload.
+ * header, or a truncated parameter payload. A FreqNeRF or TensoRF
+ * artifact is LoadStatus::badVersion here; loadFieldVerbose() reads it.
  */
 LoadResult loadModelVerbose(const std::string &path);
 
@@ -107,15 +113,12 @@ std::unique_ptr<NerfModel> loadModel(const std::string &path);
  */
 bool loadInto(NerfModel &dst, const NerfModel &src);
 
-/** On-disk footprint of a model at the given parameter width. */
+/** Size of @p model's artifact, with its parameters at the given
+ *  width (the saved file's size at the default width of 4). */
 std::size_t modelFootprintBytes(const NerfModel &model, int bytes_per_param = 4);
 
-/**
- * Serialize @p field to @p path, choosing the format by backend kind:
- * hash-grid fields write the v2 layout (readable by every historical
- * loadModel build), FreqNeRF and TensoRF fields write v3 sections.
- * @return true on success.
- */
+/** Serialize @p field to @p path (version chosen per the table
+ *  above). @return true on success. */
 bool saveField(const ServeableField &field, const std::string &path);
 
 /** Crash-safe saveField(): temp file + fsync + atomic rename, like
@@ -133,13 +136,8 @@ struct FieldLoadResult
     explicit operator bool() const { return status == LoadStatus::ok; }
 };
 
-/**
- * Load any .f3dm artifact as a ServeableField: v2 files come back as
- * hash-grid fields (via the legacy loadModelVerbose() path, identical
- * diagnostics), v3 files dispatch on their BackendKind tag — an
- * unknown tag yields LoadStatus::badBackend, and the per-backend
- * sections get the same truncation/CRC scrutiny as v2.
- */
+/** Load any .f3dm artifact as a ServeableField of its tagged backend
+ *  (v2 and v4 files are hash-grid fields). */
 FieldLoadResult loadFieldVerbose(const std::string &path);
 
 /**
@@ -148,10 +146,6 @@ FieldLoadResult loadFieldVerbose(const std::string &path);
  *         use loadFieldVerbose() to inspect it programmatically).
  */
 std::unique_ptr<ServeableField> loadField(const std::string &path);
-
-/** On-disk footprint of @p field's artifact at the given width. */
-std::size_t fieldFootprintBytes(const ServeableField &field,
-                                int bytes_per_param = 4);
 
 } // namespace fusion3d::nerf
 

@@ -53,7 +53,28 @@ adamFor(float lr)
     return cfg;
 }
 
+/** Floats of the density and appearance line factors (3 axes each). */
+std::size_t
+lineFloats(const TensorfModelConfig &cfg)
+{
+    return 3ull * (cfg.densityRank + cfg.appearanceRank) * cfg.lineResolution;
+}
+
+std::vector<int>
+colorLayers(const TensorfModelConfig &cfg)
+{
+    return {cfg.appearanceDim + cfg.shDims(), cfg.colorHidden, 3};
+}
+
 } // namespace
+
+std::array<std::size_t, 2>
+TensorfModel::paramCountsFor(const TensorfModelConfig &cfg)
+{
+    const std::size_t basis_floats =
+        static_cast<std::size_t>(cfg.appearanceDim) * cfg.appearanceRank;
+    return {lineFloats(cfg) + basis_floats, Mlp::paramCountFor(colorLayers(cfg))};
+}
 
 TensorfModel::TensorfModel(const TensorfModelConfig &cfg, std::uint64_t seed)
     : cfg_(cfg)
@@ -61,25 +82,19 @@ TensorfModel::TensorfModel(const TensorfModelConfig &cfg, std::uint64_t seed)
     if (cfg.densityRank < 1 || cfg.appearanceRank < 1 || cfg.lineResolution < 2)
         fatal("TensorfModel: invalid rank/resolution configuration");
 
-    const std::size_t density_floats =
-        3ull * cfg.densityRank * cfg.lineResolution;
-    const std::size_t app_floats = 3ull * cfg.appearanceRank * cfg.lineResolution;
-    const std::size_t basis_floats =
-        static_cast<std::size_t>(cfg.appearanceDim) * cfg.appearanceRank;
-    params_.resize(density_floats + app_floats + basis_floats);
+    params_.resize(paramCountsFor(cfg)[0]);
     grads_.assign(params_.size(), 0.0f);
 
     Pcg32 rng(seed, 0x7f4a7c159e3779b9ULL);
     // Line factors start near a small positive constant so rank
     // products are non-degenerate; the basis starts small-random.
-    for (std::size_t i = 0; i < density_floats + app_floats; ++i)
+    const std::size_t lines = lineFloats(cfg);
+    for (std::size_t i = 0; i < lines; ++i)
         params_[i] = 0.2f + 0.05f * rng.nextGaussian();
-    for (std::size_t i = density_floats + app_floats; i < params_.size(); ++i)
+    for (std::size_t i = lines; i < params_.size(); ++i)
         params_[i] = 0.1f * rng.nextGaussian();
 
-    color_net_ = std::make_unique<Mlp>(
-        std::vector<int>{cfg.appearanceDim + cfg.shDims(), cfg.colorHidden, 3},
-        seed + 5);
+    color_net_ = std::make_unique<Mlp>(colorLayers(cfg), seed + 5);
 
     adam_factors_ = Adam(params_.size(), adamFor(2e-2f));
     adam_net_ = Adam(color_net_->paramCount(), adamFor(2e-3f));

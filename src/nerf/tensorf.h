@@ -17,6 +17,7 @@
 #ifndef FUSION3D_NERF_TENSORF_H_
 #define FUSION3D_NERF_TENSORF_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -95,6 +96,11 @@ class TensorfModel
     static constexpr BackendKind kBackendKind = BackendKind::tensorf;
 
     explicit TensorfModel(const TensorfModelConfig &cfg, std::uint64_t seed = 31);
+
+    /** Sizes of the factor and color-net parameter blocks a model built
+     *  from @p cfg holds, computed without allocating them (the
+     *  constructor sizes its blocks the same way). */
+    static std::array<std::size_t, 2> paramCountsFor(const TensorfModelConfig &cfg);
 
     const TensorfModelConfig &config() const { return cfg_; }
 

@@ -1,13 +1,16 @@
 /** @file Robustness tests of the .f3dm model artifact reader/writer:
  *  round-trip equality, clean diagnosable failures on truncated,
  *  magic-corrupted, wrong-version, and checksum-corrupted files
- *  (truncation probed at every section boundary), injected I/O faults,
- *  and the crash-safety of the atomic checkpoint writer. */
+ *  (truncation probed at every section boundary), oversized headers
+ *  rejected before allocation, injected I/O faults, the crash-safety
+ *  of the atomic checkpoint writer for every backend, and a seeded
+ *  mutation sweep over artifacts of every kind. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -595,6 +598,285 @@ TEST(LoadInto, RejectsMismatchedArchitectures)
 
     EXPECT_FALSE(loadInto(dst, src));
     EXPECT_EQ(dst.densityNet().params()[0], before); // nothing copied
+}
+
+// ---------------------------------------------------------------------------
+// Validation before allocation, one open check per load, crash safety and
+// footprint for every backend, and a seeded mutation sweep of the loader.
+// ---------------------------------------------------------------------------
+
+/** Little-endian byte image of a hand-crafted artifact. */
+struct Bytes
+{
+    std::vector<unsigned char> data;
+
+    template <class T>
+    Bytes &
+    put(T v)
+    {
+        const auto *p = reinterpret_cast<const unsigned char *>(&v);
+        data.insert(data.end(), p, p + sizeof(v));
+        return *this;
+    }
+};
+
+/** Parameter count of an Mlp with these layer sizes: the per-layer
+ *  weights plus biases the file format stores for it. */
+std::uint64_t
+mlpParams(const std::vector<int> &sizes)
+{
+    std::uint64_t n = 0;
+    for (std::size_t l = 0; l + 1 < sizes.size(); ++l)
+        n += (static_cast<std::uint64_t>(sizes[l]) + 1) * sizes[l + 1];
+    return n;
+}
+
+TEST(SerializeValidation, HashGridFeaturesAboveEightAreHeaderMismatch)
+{
+    // HashGridEncoding supports 1..8 features per level; a header
+    // declaring more must be rejected, not handed to its constructor.
+    const NerfModel model(tinyConfig());
+    const std::string path = tmpPath("features9.f3dm");
+    ASSERT_TRUE(saveModel(model, path));
+    const std::vector<unsigned char> whole = readAll(path);
+    for (std::int32_t features = 9; features <= 16; ++features) {
+        SCOPED_TRACE(features);
+        std::vector<unsigned char> bytes(whole.begin(), whole.begin() + 72);
+        std::memcpy(&bytes[12], &features, 4); // featuresPerLevel word
+        writeAll(path, bytes);
+        EXPECT_EQ(loadModelVerbose(path).status, LoadStatus::headerMismatch);
+        EXPECT_EQ(loadFieldVerbose(path).status, LoadStatus::headerMismatch);
+    }
+}
+
+/** 72-byte v2 header of a ~512 GiB hash grid: 64 levels x 2^28
+ *  entries x 8 features. A base resolution of 1024 hashes every level,
+ *  so the encoding holds levels * tableSize * features floats. */
+std::vector<unsigned char>
+hugeHashGridHeader(std::uint64_t count_skew)
+{
+    const std::int32_t levels = 64, features = 8, log2_table = 28;
+    const std::int32_t geo = 15, hidden = 64, sh = 4;
+    const std::uint64_t enc =
+        static_cast<std::uint64_t>(levels) * (1ull << log2_table) * features;
+    Bytes b;
+    b.put('F').put('3').put('D').put('M').put(std::uint32_t{2});
+    for (const std::int32_t w : {levels, features, log2_table, 1024, 65536, geo,
+                                 hidden, hidden, sh})
+        b.put(w);
+    b.put(std::uint32_t{0}); // CRC: never reached
+    b.put(enc)
+        .put(mlpParams({levels * features, hidden, 1 + geo}) + count_skew)
+        .put(mlpParams({geo + sh * sh, hidden, 3}));
+    return b.data;
+}
+
+TEST(SerializeValidation, OversizedHashGridHeaderIsRejectedBeforeAllocating)
+{
+    const std::string path = tmpPath("huge_hash.f3dm");
+    writeAll(path, hugeHashGridHeader(0));
+    ASSERT_EQ(readAll(path).size(), 72u);
+    // Consistent counts, but no payload behind them.
+    EXPECT_EQ(loadModelVerbose(path).status, LoadStatus::truncated);
+    EXPECT_EQ(loadFieldVerbose(path).status, LoadStatus::truncated);
+    // Counts that disagree with the declared dimensions.
+    writeAll(path, hugeHashGridHeader(1));
+    EXPECT_EQ(loadModelVerbose(path).status, LoadStatus::headerMismatch);
+}
+
+/** 56-byte v3 FreqNeRF header of a 16 x 4096 trunk (~1 GiB of weights
+ *  before gradients and Adam moments). */
+std::vector<unsigned char>
+hugeFreqHeader(std::uint64_t count_skew)
+{
+    const std::int32_t freqs = 16, hidden = 4096, layers = 16, geo = 256, sh = 4;
+    std::vector<int> trunk{3 + 3 * 2 * freqs};
+    trunk.insert(trunk.end(), layers, hidden);
+    trunk.push_back(1 + geo);
+    Bytes b;
+    b.put('F').put('3').put('D').put('M').put(std::uint32_t{3});
+    b.put(static_cast<std::uint32_t>(BackendKind::freqNerf));
+    for (const std::int32_t w : {freqs, hidden, layers, geo, hidden, sh})
+        b.put(w);
+    b.put(std::uint32_t{0});
+    b.put(mlpParams(trunk)).put(mlpParams({geo + sh * sh, hidden, 3}) + count_skew);
+    return b.data;
+}
+
+TEST(SerializeValidation, OversizedFreqHeaderIsRejectedBeforeAllocating)
+{
+    const std::string path = tmpPath("huge_freq.f3dm");
+    writeAll(path, hugeFreqHeader(0));
+    ASSERT_EQ(readAll(path).size(), 56u);
+    EXPECT_EQ(loadFieldVerbose(path).status, LoadStatus::truncated);
+    writeAll(path, hugeFreqHeader(1));
+    EXPECT_EQ(loadFieldVerbose(path).status, LoadStatus::headerMismatch);
+}
+
+TEST_F(SerializeFaultTest, EachLoadChecksTheOpenFaultPointOnce)
+{
+    const std::string hash = tmpPath("open_hash.f3dm");
+    const std::string freq = tmpPath("open_freq.f3dm");
+    const std::string tensorf = tmpPath("open_tensorf.f3dm");
+    ASSERT_TRUE(saveModel(NerfModel(tinyConfig(), 71), hash));
+    ASSERT_TRUE(saveField(FreqServeField(FreqNerfModel(tinyFreqConfig(), 72)), freq));
+    ASSERT_TRUE(saveField(
+        TensorfServeField(TensorfModel(tinyTensorfConfig(), 73)), tensorf));
+
+    // every2 fails every second check: with one check per load, loads
+    // alternate between ok and an I/O error for every backend.
+    for (const std::string &path : {hash, freq, tensorf}) {
+        SCOPED_TRACE(path);
+        ASSERT_TRUE(
+            FaultInjector::instance().configureFromSpec("nerf.load.open=every2"));
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(loadFieldVerbose(path).status,
+                      i % 2 == 0 ? LoadStatus::ok : LoadStatus::ioError)
+                << "load " << i;
+        FaultInjector::instance().reset();
+    }
+}
+
+TEST_F(SerializeFaultTest, TensorfCrashDuringCheckpointNeverYieldsALoadableFile)
+{
+    const TensorfModel good(tinyTensorfConfig(), /*seed=*/81);
+    const TensorfServeField good_field(good);
+    const std::string path = tmpPath("crashsafe_tensorf.f3dm");
+    ASSERT_TRUE(saveFieldAtomic(good_field, path));
+
+    const TensorfModel newer(tinyTensorfConfig(), /*seed=*/82);
+    ASSERT_TRUE(
+        FaultInjector::instance().configureFromSpec("trainer.ckpt.write=once"));
+    EXPECT_FALSE(saveFieldAtomic(TensorfServeField(newer), path));
+
+    // Destination: still the *first* model, bit-exact.
+    const FieldLoadResult r = loadFieldVerbose(path);
+    ASSERT_EQ(r.status, LoadStatus::ok) << r.message;
+    const auto &loaded = dynamic_cast<const TensorfServeField &>(*r.field);
+    expectSpansEqual(good.factorParams(), loaded.model().factorParams());
+    expectSpansEqual(good.colorNet().params(), loaded.model().colorNet().params());
+    expectFieldsEvalIdentical(good_field, *r.field);
+
+    // The simulated crash cut the temp file mid-payload.
+    EXPECT_EQ(loadFieldVerbose(path + ".tmp").status, LoadStatus::truncated);
+
+    ASSERT_TRUE(
+        FaultInjector::instance().configureFromSpec("trainer.ckpt.open=once"));
+    EXPECT_FALSE(saveFieldAtomic(TensorfServeField(newer), path));
+    EXPECT_EQ(loadFieldVerbose(path).status, LoadStatus::ok);
+}
+
+TEST(SerializeFootprint, EqualsTheSavedFileSizeAtEveryQuantMode)
+{
+    for (const QuantMode mode : {QuantMode::fp32, QuantMode::fp16, QuantMode::int8}) {
+        SCOPED_TRACE(quantModeName(mode));
+        NerfModel model(tinyConfig(), /*seed=*/91);
+        if (mode != QuantMode::fp32)
+            model.setInferenceQuant(mode);
+        const std::string path = tmpPath("footprint.f3dm");
+        ASSERT_TRUE(saveModel(model, path));
+        EXPECT_EQ(modelFootprintBytes(model), readAll(path).size());
+    }
+}
+
+/** A seed artifact of the mutation sweep and the kind it loads as. */
+struct SeedArtifact
+{
+    std::string name;
+    BackendKind kind;
+    std::vector<unsigned char> bytes;
+    std::size_t headerBytes;
+};
+
+std::vector<SeedArtifact>
+seedArtifacts()
+{
+    std::vector<SeedArtifact> seeds;
+    const auto add = [&seeds](const std::string &name, const ServeableField &field) {
+        const std::string path = tmpPath(("seed_" + name + ".f3dm").c_str());
+        EXPECT_TRUE(saveField(field, path));
+        std::vector<unsigned char> bytes = readAll(path);
+        const std::size_t header = bytes.size() - field.paramCount() * sizeof(float);
+        seeds.push_back({name, field.kind(), std::move(bytes), header});
+    };
+    for (const QuantMode mode : {QuantMode::fp32, QuantMode::fp16, QuantMode::int8}) {
+        NerfModel model(tinyConfig(), /*seed=*/101);
+        if (mode != QuantMode::fp32)
+            model.setInferenceQuant(mode);
+        add(std::string("hash_") + quantModeName(mode), HashGridServeField(model));
+    }
+    add("freq", FreqServeField(FreqNerfModel(tinyFreqConfig(), 102)));
+    add("tensorf", TensorfServeField(TensorfModel(tinyTensorfConfig(), 103)));
+    return seeds;
+}
+
+TEST(SerializeMutation, MutatedArtifactsAlwaysLoadCleanlyOrFail)
+{
+    const std::vector<SeedArtifact> seeds = seedArtifacts();
+    ASSERT_EQ(seeds.size(), 5u);
+    const std::string path = tmpPath("mutant.f3dm");
+    std::vector<Vec3f> pos(16), dirs(16);
+    Pcg32 batch_rng(7);
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+        pos[j] = batch_rng.nextVec3();
+        dirs[j] = batch_rng.nextUnitVector();
+    }
+
+    Pcg32 rng(0xf3d);
+    int loads = 0, ok_loads = 0;
+    const auto check = [&](const SeedArtifact &seed,
+                           const std::vector<unsigned char> &bytes) {
+        writeAll(path, bytes);
+        const FieldLoadResult r = loadFieldVerbose(path);
+        ++loads;
+        ASSERT_LE(static_cast<int>(r.status), static_cast<int>(LoadStatus::badBackend));
+        if (!r) {
+            EXPECT_EQ(r.field, nullptr);
+            EXPECT_FALSE(r.message.empty());
+            return;
+        }
+        ++ok_loads;
+        ASSERT_NE(r.field, nullptr);
+        ASSERT_EQ(r.field->kind(), seed.kind);
+        std::vector<float> sigmas(pos.size());
+        std::vector<Vec3f> rgbs(pos.size());
+        r.field->evalBatch(pos, dirs, sigmas, rgbs);
+        r.field->evalDensityBatch(pos, sigmas);
+    };
+
+    const std::uint32_t boundary[] = {0u,          1u,          2u,
+                                      0x7fffffffu, 0x80000000u, 0xffffffffu};
+    for (const SeedArtifact &seed : seeds) {
+        SCOPED_TRACE(seed.name);
+        check(seed, seed.bytes); // the seed itself loads
+        // Boundary values over every 4-byte header word.
+        for (std::size_t at = 0; at + 4 <= seed.headerBytes; at += 4) {
+            for (const std::uint32_t v : boundary) {
+                std::vector<unsigned char> bytes = seed.bytes;
+                std::memcpy(&bytes[at], &v, 4);
+                check(seed, bytes);
+            }
+        }
+        // Bit flips, half of them aimed at the header.
+        for (int i = 0; i < 200; ++i) {
+            std::vector<unsigned char> bytes = seed.bytes;
+            const int flips = 1 + static_cast<int>(rng.nextBounded(3));
+            for (int k = 0; k < flips; ++k) {
+                const std::size_t range = i % 2 ? bytes.size() : seed.headerBytes;
+                bytes[rng.nextBounded(static_cast<std::uint32_t>(range))] ^=
+                    static_cast<unsigned char>(1u << rng.nextBounded(8));
+            }
+            check(seed, bytes);
+        }
+        // Truncations anywhere, header included.
+        for (int i = 0; i < 40; ++i) {
+            std::vector<unsigned char> bytes = seed.bytes;
+            bytes.resize(rng.nextBounded(static_cast<std::uint32_t>(bytes.size())));
+            check(seed, bytes);
+        }
+    }
+    EXPECT_GT(ok_loads, 0);
+    EXPECT_LT(ok_loads, loads);
 }
 
 } // namespace
