@@ -4,8 +4,10 @@
  * sharded Trainer (DESIGN.md §8) at 1, 2, 4, and hardware-concurrency
  * threads on a synthetic scene. Every configuration trains a fresh
  * same-seed pipeline, so the work per iteration is identical; "1
- * thread" is the serial legacy path (no pool), and a t-thread
- * configuration runs a ThreadPool of t-1 workers plus the caller.
+ * thread" trains with no pool, which runs the same shards inline on
+ * the caller, and a t-thread configuration runs a ThreadPool of t-1
+ * workers plus the caller. Every configuration trains bit-identical
+ * weights.
  * A second section times the backward pass alone, single-threaded, at
  * batch 256 and 4096 under the SIMD dispatch and forced-scalar: the
  * MLP layer backward (density + color nets) and the whole sharded
@@ -82,8 +84,9 @@ measure(const nerf::Dataset &data, int threads, int iters)
     pc.sampler.maxSamplesPerRay = 32;
     nerf::NerfPipeline pipe(pc);
 
-    // threads == 1 is the serial legacy path; otherwise the caller
-    // participates in parallelFor, so t threads = pool of t-1 workers.
+    // threads == 1 trains with no pool (the shards run inline);
+    // otherwise the caller participates in parallelFor, so t threads =
+    // pool of t-1 workers.
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1)
         pool = std::make_unique<ThreadPool>(threads - 1);

@@ -8,8 +8,9 @@
  * Usage: quickstart [scene] [iterations] [image_size] [--threads N]
  *
  * With --threads N the trainer shards each batch across a pool of N
- * threads (N-1 workers plus the caller); results are bit-identical to
- * the serial run at any N (DESIGN.md §8).
+ * threads (N-1 workers plus the caller); with N = 1, or with no pool at
+ * all, the same shards run inline, so results are bit-identical at any
+ * N (DESIGN.md §8).
  */
 
 #include <cstdlib>
@@ -63,9 +64,9 @@ main(int argc, char **argv)
     inform("model parameters: %zu", pipeline.paramCount());
 
     // threads threads total: a pool of threads-1 workers plus the
-    // caller, which participates in parallelFor (--threads 1 is a
-    // zero-worker pool running inline, so every N shares the sharded
-    // numeric path and produces the same weights).
+    // caller, which participates in parallelFor. --threads 1 is a
+    // zero-worker pool running the shards inline, the same numeric path
+    // as no pool, so every N produces the same weights.
     ThreadPool pool(threads - 1);
 
     nerf::TrainerConfig tc;

@@ -254,28 +254,6 @@ freqBackwardDeltas(const FreqNerfConfig &cfg, std::span<const float> dsigmas,
 } // namespace
 
 void
-FreqNerfModel::backwardPointBatch(std::span<const Vec3f> pos,
-                                  std::span<const Vec3f> dirs,
-                                  std::span<const float> dsigmas,
-                                  std::span<const Vec3f> drgbs, BatchWorkspace &ws)
-{
-    const std::size_t n = pos.size();
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
-    freqBackwardDeltas(cfg_, dsigmas, drgbs, n, ws);
-
-    color_net_->backwardBatch({ws.dColorOut.data(), 3 * n}, n, ws.colorWs);
-    const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
-    for (std::size_t i = 0; i < geo; ++i)
-        for (std::size_t s = 0; s < n; ++s)
-            ws.dTrunkOut[(i + 1) * n + s] = ws.colorWs.dinput[i * n + s];
-    trunk_->backwardBatch({ws.dTrunkOut.data(), (1 + geo) * n}, n, ws.trunkWs);
-}
-
-void
 FreqNerfModel::backwardPointBatchInto(std::span<const Vec3f> pos,
                                       std::span<const Vec3f> dirs,
                                       std::span<const float> dsigmas,

@@ -124,25 +124,18 @@ class FreqNerfModel
     void queryDensityBatch(std::span<const Vec3f> pos, BatchWorkspace &ws,
                            std::span<float> sigmas) const;
 
-    /**
-     * Batched backward into the internal gradient accumulators.
-     * Recomputes the forward internally (recompute-in-backward); weight
-     * gradients are summed sample-ascending.
-     */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
-
     /** Length of the flat gradient vector backwardPointBatchInto fills:
      *  trunk grads first, then color-net grads. */
     std::size_t gradCount() const { return paramCount(); }
 
     /**
-     * Shard entry point of parallel training: like backwardPointBatch
-     * but const, accumulating into a caller-provided flat buffer
-     * (gradCount() floats, trunk block then color block) instead of the
-     * model. Shards own private buffers; accumulateGradients() merges
-     * them in fixed shard order.
+     * Batched backward of one training shard, accumulating into a
+     * caller-provided flat buffer (gradCount() floats, trunk block then
+     * color block) instead of the model; const, so shards run
+     * concurrently. Recomputes the forward internally
+     * (recompute-in-backward); weight gradients are summed
+     * sample-ascending. Shards own private buffers;
+     * accumulateGradients() merges them in fixed shard order.
      */
     void backwardPointBatchInto(std::span<const Vec3f> pos,
                                 std::span<const Vec3f> dirs,

@@ -489,41 +489,6 @@ HashGridEncoding::encodeBatch(std::span<const Vec3f> pos, std::span<float> out,
 }
 
 void
-HashGridEncoding::backwardBatch(std::span<const Vec3f> pos, std::span<const float> dout)
-{
-    const int fpl = cfg_.featuresPerLevel;
-    const std::size_t n = pos.size();
-    if (dout.size() < static_cast<std::size_t>(cfg_.encodedDims()) * n)
-        panic("HashGridEncoding::backwardBatch gradient span too small");
-    if (!has_fp32_)
-        panic("HashGridEncoding::backwardBatch requires fp32 table (dropped)");
-
-    // Corners are staged a block at a time (bit-identical to the
-    // per-point helper), then scattered per point in corner order.
-    std::uint32_t idx[8 * simd::kGatherBlock];
-    float wts[8 * simd::kGatherBlock];
-    const bool stage_avx2 = stageWithAvx2();
-    for (int l = 0; l < cfg_.levels; ++l) {
-        const LevelGeometry geo = levelGeometry(*this, l);
-        const float *ldout = dout.data() + static_cast<std::size_t>(l) * fpl * n;
-        float *lg = grads_.data() + offsets_[l];
-        for (std::size_t j0 = 0; j0 < n; j0 += simd::kGatherBlock) {
-            const std::size_t nb = std::min(simd::kGatherBlock, n - j0);
-            stageCorners(pos.data() + j0, nb, geo, stage_avx2, idx, wts);
-            for (std::size_t j = 0; j < nb; ++j) {
-                for (int c = 0; c < 8; ++c) {
-                    const std::size_t at = c * simd::kGatherBlock + j;
-                    float *g = lg + static_cast<std::size_t>(idx[at]) * fpl;
-                    const float w = wts[at];
-                    for (int f = 0; f < fpl; ++f)
-                        g[f] += w * ldout[static_cast<std::size_t>(f) * n + j0 + j];
-                }
-            }
-        }
-    }
-}
-
-void
 HashGridEncoding::backwardBatchInto(std::span<const Vec3f> pos,
                                     std::span<const float> dout,
                                     HashGradAccumulator &acc) const

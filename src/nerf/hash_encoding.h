@@ -176,18 +176,14 @@ class HashGridEncoding
                      VertexVisitor *visitor = nullptr) const;
 
     /**
-     * Batched backward scatter, level-major like encodeBatch.
+     * Batched backward scatter, level-major like encodeBatch, into a
+     * per-shard sparse accumulator instead of the shared gradient
+     * vector; const, so any number of shards can run concurrently
+     * against one encoding. mergeGradShards() adds the accumulators
+     * into grads(). Per sample the arithmetic matches backward().
+     *
      * @param pos  The batch previously encoded.
      * @param dout Feature-major [encodedDims][pos.size()] gradients.
-     */
-    void backwardBatch(std::span<const Vec3f> pos, std::span<const float> dout);
-
-    /**
-     * backwardBatch variant scattering into a per-shard sparse
-     * accumulator instead of the shared gradient vector; const, so any
-     * number of shards can run concurrently against one encoding. The
-     * arithmetic per sample is identical to backwardBatch; only where
-     * the partial sums land differs.
      */
     void backwardBatchInto(std::span<const Vec3f> pos, std::span<const float> dout,
                            HashGradAccumulator &acc) const;

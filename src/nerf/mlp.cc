@@ -172,21 +172,15 @@ Mlp::forwardBatch(std::span<const float> input, std::size_t n, MlpBatchWorkspace
 }
 
 void
-Mlp::backwardBatch(std::span<const float> dout, std::size_t n, MlpBatchWorkspace &ws)
-{
-    backwardBatchInto(dout, n, ws, grads_);
-}
-
-void
 Mlp::backwardBatchInto(std::span<const float> dout, std::size_t n,
                        MlpBatchWorkspace &ws, std::span<float> grads) const
 {
     if (n == 0)
         return;
     if (n != ws.count)
-        panic("Mlp::backwardBatch batch size mismatch (%zu != %zu)", n, ws.count);
+        panic("Mlp::backwardBatchInto batch size mismatch (%zu != %zu)", n, ws.count);
     if (dout.size() < static_cast<std::size_t>(outputDim()) * n)
-        panic("Mlp::backwardBatch gradient too small");
+        panic("Mlp::backwardBatchInto gradient too small");
     if (!has_fp32_)
         panic("Mlp::backwardBatchInto requires fp32 weights (dropped)");
     if (grads.size() != param_count_)

@@ -50,7 +50,7 @@ struct MlpBatchWorkspace
     std::vector<std::vector<float>> activations;
     /** Pre-activations (z) per non-input layer, feature-major. */
     std::vector<std::vector<float>> preacts;
-    /** dL/d(input), feature-major [inputDim][N]; filled by backwardBatch(). */
+    /** dL/d(input), feature-major [inputDim][N]; filled by backwardBatchInto(). */
     std::vector<float> dinput;
     /** Scratch delta matrices, [widest][N]. */
     std::vector<float> delta_a;
@@ -126,22 +126,16 @@ class Mlp
     /**
      * Backward a batch; must follow a forwardBatch() on the same
      * workspace. Weight/bias gradients accumulate the whole batch's
-     * outer products (summed sample-ascending) into the internal
-     * gradient vector; dL/d(input) is left feature-major in ws.dinput.
+     * outer products (summed sample-ascending) into a caller-provided
+     * gradient vector (same layout/length as grads()), leaving the
+     * network state untouched; dL/d(input) is left feature-major in
+     * ws.dinput. This is the shard entry point of training: each shard
+     * owns a private gradient buffer, and the shard buffers are merged
+     * in a fixed order afterwards, so no two threads ever write the
+     * same accumulator.
      *
      * @param dout Feature-major [outputDim][n] output gradients.
      * @param n    Batch size; must equal ws.count.
-     */
-    void backwardBatch(std::span<const float> dout, std::size_t n, MlpBatchWorkspace &ws);
-
-    /**
-     * backwardBatch variant that accumulates into a caller-provided
-     * gradient vector (same layout/length as grads()) instead of the
-     * internal one, leaving the network state untouched. This is the
-     * shard entry point of parallel training: each worker owns a
-     * private gradient buffer, and the shard buffers are merged in a
-     * fixed order afterwards, so no two threads ever write the same
-     * accumulator.
      */
     void backwardBatchInto(std::span<const float> dout, std::size_t n,
                            MlpBatchWorkspace &ws, std::span<float> grads) const;

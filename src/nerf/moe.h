@@ -320,7 +320,6 @@ class MoeField : public RadianceField
     void
     invalidateTapes() override
     {
-        RadianceField::invalidateTapes();
         fusion_weights_batch_.clear();
     }
 

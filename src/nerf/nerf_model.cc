@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "nerf/shard_partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -78,13 +78,6 @@ trainStats()
 {
     static TrainStats stats;
     return stats;
-}
-
-/** Inclusive-begin shard boundary; depends only on n and shard count. */
-inline std::size_t
-shardBegin(std::size_t n, std::size_t num_shards, std::size_t s)
-{
-    return s * n / num_shards;
 }
 
 /** dst += src, elementwise. */
@@ -247,61 +240,6 @@ NerfModel::forwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
 }
 
 void
-NerfModel::backwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                         std::span<const float> dsigmas, std::span<const Vec3f> drgbs,
-                         NerfBatchWorkspace &ws)
-{
-    const std::size_t n = pos.size();
-    if (n == 0)
-        return;
-    if (dirs.size() < n || dsigmas.size() < n || drgbs.size() < n)
-        panic("NerfModel::backwardBatch span sizes inconsistent with batch %zu", n);
-
-    F3D_TRACE_SPAN_ARG("nerf", "backward_batch", n);
-
-    // Recompute the batched forward to refresh the activation caches.
-    // Size the recompute buffers before taking spans: forwardBatch's
-    // capacity growth would reallocate them under a live span.
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardBatch(pos, dirs, ws, {ws.fwdSigmas.data(), n}, {ws.fwdRgbs.data(), n});
-
-    // Color net: dL/draw = drgb * sigmoid'(raw).
-    for (std::size_t j = 0; j < n; ++j) {
-        for (int i = 0; i < 3; ++i) {
-            const float s = ws.fwdRgbs[j][i];
-            ws.dColorOut[static_cast<std::size_t>(i) * n + j] = drgbs[j][i] * s * (1.0f - s);
-        }
-    }
-    color_net_->backwardBatch({ws.dColorOut.data(), 3 * n}, n, ws.colorWs);
-
-    // Density net: raw-sigma row fused with the activation gradient,
-    // geometry-feature rows come straight from the color net's input
-    // gradient (contiguous rows 0..geoFeatures-1 of colorWs.dinput).
-    for (std::size_t j = 0; j < n; ++j)
-        ws.dDensityOut[j] =
-            dsigmas[j] * densityActivationGrad(ws.rawSigma[j], ws.fwdSigmas[j]);
-    const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
-    std::copy_n(ws.colorWs.dinput.begin(), geo * n, ws.dDensityOut.begin() + n);
-    density_net_->backwardBatch(
-        {ws.dDensityOut.data(), (1 + geo) * n}, n, ws.densityWs);
-
-    // Encoding backward: level-major batched scatter into the tables.
-    encoding_->backwardBatch(pos, {ws.densityWs.dinput.data(),
-                                   static_cast<std::size_t>(cfg_.grid.encodedDims()) * n});
-}
-
-std::size_t
-NerfModel::shardCount(std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    return std::min(kMaxShards, (n + kShardGrain - 1) / kShardGrain);
-}
-
-void
 NerfModel::forwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
                                 NerfParallelWorkspace &ws, std::span<float> sigmas,
                                 std::span<Vec3f> rgbs, ThreadPool *pool) const
@@ -322,26 +260,12 @@ NerfModel::forwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3
     stats.shards.fetch_add(num_shards, std::memory_order_relaxed);
     stats.sharded_samples.fetch_add(n, std::memory_order_relaxed);
 
-    const auto run_shard = [&](std::size_t s) {
+    forEachShard(n, pool, [&](std::size_t s, std::size_t b, std::size_t e) {
         F3D_TRACE_SPAN_ARG("train", "shard", static_cast<std::int64_t>(s));
-        const std::size_t b = shardBegin(n, num_shards, s);
-        const std::size_t e = shardBegin(n, num_shards, s + 1);
         const std::size_t cnt = e - b;
         forwardBatch(pos.subspan(b, cnt), dirs.subspan(b, cnt), ws.shards[s].ws,
                      sigmas.subspan(b, cnt), rgbs.subspan(b, cnt));
-    };
-    if (pool && num_shards > 1) {
-        pool->parallelFor(
-            0, static_cast<int>(num_shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s)
-                    run_shard(static_cast<std::size_t>(s));
-            },
-            1);
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            run_shard(s);
-    }
+    });
 }
 
 void
@@ -358,8 +282,7 @@ NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs
     arena.densityGrads.assign(density_net_->paramCount(), 0.0f);
     arena.colorGrads.assign(color_net_->paramCount(), 0.0f);
 
-    // Recompute the shard's forward (recompute-in-backward), exactly as
-    // backwardBatch does for the whole batch.
+    // Recompute the shard's forward (recompute-in-backward).
     if (ws.fwdSigmas.size() < n)
         ws.fwdSigmas.resize(n);
     if (ws.fwdRgbs.size() < n)
@@ -414,26 +337,12 @@ NerfModel::backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec
     stats.shards.fetch_add(num_shards, std::memory_order_relaxed);
     stats.sharded_samples.fetch_add(n, std::memory_order_relaxed);
 
-    const auto run_shard = [&](std::size_t s) {
+    forEachShard(n, pool, [&](std::size_t s, std::size_t b, std::size_t e) {
         F3D_TRACE_SPAN_ARG("train", "shard", static_cast<std::int64_t>(s));
-        const std::size_t b = shardBegin(n, num_shards, s);
-        const std::size_t e = shardBegin(n, num_shards, s + 1);
         const std::size_t cnt = e - b;
         backwardShard(pos.subspan(b, cnt), dirs.subspan(b, cnt),
                       dsigmas.subspan(b, cnt), drgbs.subspan(b, cnt), ws.shards[s]);
-    };
-    if (pool && num_shards > 1) {
-        pool->parallelFor(
-            0, static_cast<int>(num_shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s)
-                    run_shard(static_cast<std::size_t>(s));
-            },
-            1);
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            run_shard(s);
-    }
+    });
 
     // Deterministic reduction: serial pairwise tree over the MLP shard
     // buffers, then the level-parallel sparse merge for the hash grid.
@@ -498,24 +407,10 @@ NerfModel::queryDensityBatchParallel(std::span<const Vec3f> pos,
     if (ws.shards.size() < num_shards)
         ws.shards.resize(num_shards);
 
-    const auto run_shard = [&](std::size_t s) {
-        const std::size_t b = shardBegin(n, num_shards, s);
-        const std::size_t e = shardBegin(n, num_shards, s + 1);
+    forEachShard(n, pool, [&](std::size_t s, std::size_t b, std::size_t e) {
         queryDensityBatch(pos.subspan(b, e - b), ws.shards[s].ws,
                           sigmas.subspan(b, e - b));
-    };
-    if (pool && num_shards > 1) {
-        pool->parallelFor(
-            0, static_cast<int>(num_shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s)
-                    run_shard(static_cast<std::size_t>(s));
-            },
-            1);
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            run_shard(s);
-    }
+    });
 }
 
 float

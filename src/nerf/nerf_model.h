@@ -86,7 +86,7 @@ struct NerfBatchWorkspace
     std::vector<float> dDensityOut;
     /** dL/d(color-net output), [3][N]. */
     std::vector<float> dColorOut;
-    /** Recomputed activations used by backwardBatch. */
+    /** Recomputed activations used by the batched backward. */
     std::vector<float> fwdSigmas;
     std::vector<Vec3f> fwdRgbs;
     MlpBatchWorkspace densityWs;
@@ -193,50 +193,30 @@ class NerfModel
                       std::span<Vec3f> rgbs, VertexVisitor *visitor = nullptr) const;
 
     /**
-     * Accumulate parameter gradients for a whole batch. Recomputes the
-     * batched forward internally (recompute-in-backward, like
-     * backwardPoint), so it does NOT require a prior forwardBatch on
-     * the same workspace.
-     *
-     * @param dsigmas dL/d(sigma) per sample.
-     * @param drgbs   dL/d(rgb) per sample.
-     */
-    void backwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                       std::span<const float> dsigmas, std::span<const Vec3f> drgbs,
-                       NerfBatchWorkspace &ws);
-
-    /** Shard size the parallel paths aim for (samples per shard). */
-    static constexpr std::size_t kShardGrain = 256;
-    /** Upper bound on shards per batch (bounds arena memory). */
-    static constexpr std::size_t kMaxShards = 16;
-
-    /**
-     * Number of shards a batch of @p n samples splits into. Depends
-     * only on n — never on thread count or pool size — so the shard
-     * partition (and therefore the gradient reduction order) is fixed
-     * for a given training trajectory.
-     */
-    static std::size_t shardCount(std::size_t n);
-
-    /**
-     * forwardBatch split into shardCount(n) fixed shards executed via
-     * @p pool (inline when @p pool is null). forwardBatch is batch-size
-     * invariant per sample, so the result is bit-exact with the serial
-     * call at any thread count.
+     * forwardBatch split into the fixed shards of shard_partition.h,
+     * executed via @p pool (inline when @p pool is null). forwardBatch
+     * is batch-size invariant per sample, so the result is bit-exact
+     * with one whole-batch forwardBatch call at any thread count.
      */
     void forwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
                               NerfParallelWorkspace &ws, std::span<float> sigmas,
                               std::span<Vec3f> rgbs, ThreadPool *pool) const;
 
     /**
-     * backwardBatch split into fixed shards: each shard recomputes its
-     * forward and accumulates gradients into its private arena buffers
-     * (backwardBatchInto), then a deterministic reduction merges them —
-     * a serial pairwise tree over the MLP shard buffers and a sparse
-     * merge for the hash grid whose levels run in parallel on @p pool.
-     * For a given shard partition the summation order is fixed, so
-     * training with a pool reproduces bit-identical weights at any
-     * thread count.
+     * The batched backward: accumulate parameter gradients for a whole
+     * batch. The batch splits into the fixed shards of
+     * shard_partition.h; each shard recomputes its forward
+     * (recompute-in-backward, so no prior forwardBatch is required) and
+     * accumulates into its private arena buffers (the *Into kernels),
+     * then a deterministic reduction merges them — a serial pairwise
+     * tree over the MLP shard buffers and a sparse merge for the hash
+     * grid whose levels run in parallel on @p pool. Shards run on
+     * @p pool, or inline when it is null; the summation order depends
+     * only on the batch size, so the gradients are bit-identical with
+     * no pool or any pool size.
+     *
+     * @param dsigmas dL/d(sigma) per sample.
+     * @param drgbs   dL/d(rgb) per sample.
      */
     void backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
                                std::span<const float> dsigmas,
@@ -251,7 +231,8 @@ class NerfModel
     void queryDensityBatch(std::span<const Vec3f> pos, NerfBatchWorkspace &ws,
                            std::span<float> sigmas) const;
 
-    /** queryDensityBatch over fixed shards executed via @p pool. */
+    /** queryDensityBatch over the fixed shards, executed via @p pool
+     *  (inline when @p pool is null). */
     void queryDensityBatchParallel(std::span<const Vec3f> pos, NerfParallelWorkspace &ws,
                                    std::span<float> sigmas, ThreadPool *pool) const;
 

@@ -30,7 +30,6 @@ NerfPipeline::NerfPipeline(const PipelineConfig &cfg)
       model_(std::make_unique<NerfModel>(cfg.model, cfg.seed)),
       grid_(cfg.occupancyResolution, cfg.occupancyThreshold),
       sampler_(cfg.sampler),
-      ws_(model_->makeWorkspace()),
       adam_encoding_(model_->encoding().paramCount(), adamFor(cfg.lrEncoding, true)),
       adam_density_(model_->densityNet().paramCount(), adamFor(cfg.lrNet, false)),
       adam_color_(model_->colorNet().paramCount(), adamFor(cfg.lrNet, false))
@@ -56,20 +55,21 @@ void
 NerfPipeline::traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
                         std::span<RayEval> out, RayWorkload *workload)
 {
-    // Model evaluation is sharded across the pool when one is attached.
-    // Sharding is bit-exact with the serial call (forwardBatch is
-    // batch-size invariant per sample); the visitor path stays serial
-    // so access traces keep their canonical order.
+    // Model evaluation runs over the fixed shard partition, on the pool
+    // when one is attached and inline otherwise; forwardBatch is
+    // batch-size invariant per sample, so either is bit-exact with one
+    // whole-batch call. The visitor path stays one whole-batch call so
+    // access traces keep their canonical order.
     eval_.traceRays(sampler_, &grid_, cfg_.render, rays, rng, record, out, workload,
                     pool_, [&](SampleBatch &batch) {
-                        if (pool_ && !visitor_) {
-                            model_->forwardBatchParallel(batch.positions, batch.dirs,
-                                                         par_ws_, batch.sigmas,
-                                                         batch.rgbs, pool_);
-                        } else {
+                        if (visitor_) {
                             model_->forwardBatch(batch.positions, batch.dirs,
                                                  batch_ws_, batch.sigmas, batch.rgbs,
                                                  visitor_);
+                        } else {
+                            model_->forwardBatchParallel(batch.positions, batch.dirs,
+                                                         par_ws_, batch.sigmas,
+                                                         batch.rgbs, pool_);
                         }
                     });
 }
@@ -78,19 +78,13 @@ void
 NerfPipeline::backwardRays(std::span<const Vec3f> dcolors)
 {
     // One batched backward through both MLPs and the hash encoding,
-    // sharded with deterministic gradient reduction when a pool is
-    // attached.
+    // sharded with deterministic gradient reduction (shards inline
+    // without a pool, so the sums are the same either way).
     eval_.backwardRays(cfg_.render, dcolors, pool_,
                        [&](const SampleBatch &batch, std::span<const float> dsigmas,
                            std::span<const Vec3f> drgbs) {
-                           if (pool_) {
-                               model_->backwardBatchParallel(batch.positions,
-                                                             batch.dirs, dsigmas,
-                                                             drgbs, par_ws_, pool_);
-                           } else {
-                               model_->backwardBatch(batch.positions, batch.dirs,
-                                                     dsigmas, drgbs, batch_ws_);
-                           }
+                           model_->backwardBatchParallel(batch.positions, batch.dirs,
+                                                         dsigmas, drgbs, par_ws_, pool_);
                        });
 }
 
@@ -103,7 +97,6 @@ NerfPipeline::zeroGradsImpl()
 void
 NerfPipeline::invalidateTapes()
 {
-    RadianceField::invalidateTapes();
     eval_.invalidateTape();
 }
 
@@ -121,20 +114,15 @@ NerfPipeline::optimizerStepImpl()
 void
 NerfPipeline::updateOccupancy(Pcg32 &rng)
 {
-    if (pool_) {
-        // Split update: the jitter draws happen serially in cell order
-        // (identical rng stream to grid_.update), then the probes run
-        // as one sharded density batch — bit-exact per sample with the
-        // scalar queryDensity path, so the refreshed grid is identical
-        // to the serial update's.
-        grid_.collectProbePositions(rng, occ_positions_);
-        occ_densities_.resize(occ_positions_.size());
-        model_->queryDensityBatchParallel(occ_positions_, par_ws_, occ_densities_,
-                                          pool_);
-        grid_.applyDensities(occ_densities_);
-        return;
-    }
-    grid_.update([this](const Vec3f &p) { return model_->queryDensity(p, ws_); }, rng);
+    // Split update: the jitter draws happen serially in cell order
+    // (identical rng stream to grid_.update), then the probes run as
+    // one sharded density batch — bit-exact per sample with the scalar
+    // queryDensity oracle, so the refreshed grid is identical to
+    // grid_.update(queryDensity)'s.
+    grid_.collectProbePositions(rng, occ_positions_);
+    occ_densities_.resize(occ_positions_.size());
+    model_->queryDensityBatchParallel(occ_positions_, par_ws_, occ_densities_, pool_);
+    grid_.applyDensities(occ_densities_);
 }
 
 void
@@ -152,14 +140,14 @@ NerfPipeline::paramCount() const
 }
 
 bool
-NerfPipeline::renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out)
+NerfPipeline::renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out)
 {
     TiledRenderConfig tcfg;
     tcfg.sampler = cfg_.sampler;
     tcfg.sampler.jitter = false; // inference render
     tcfg.render = cfg_.render;
     tcfg.seed = cfg_.seed;
-    out = renderImageTiled(*model_, &grid_, camera, tcfg, &pool);
+    out = renderImageTiled(*model_, &grid_, camera, tcfg, pool);
     return true;
 }
 

@@ -59,7 +59,9 @@ class NerfPipeline : public RadianceField
     /**
      * Stage-II access-trace observer applied during traceRay. The chip
      * model installs one to replay hash accesses through the banked-SRAM
-     * simulation. Pass nullptr to detach.
+     * simulation. While one is attached the forward runs as one
+     * whole-batch call, so the accesses arrive in canonical order.
+     * Pass nullptr to detach.
      */
     void setVertexVisitor(VertexVisitor *v) { visitor_ = v; }
 
@@ -80,14 +82,15 @@ class NerfPipeline : public RadianceField
 
     /**
      * Batch-native override: Stage I samples every ray into one
-     * SampleBatch (CSR per-ray ranges), one NerfModel::forwardBatch
+     * SampleBatch (CSR per-ray ranges), NerfModel::forwardBatchParallel
      * evaluates the flattened samples, and each ray composites over its
      * offset range. record=true keeps the whole batch as the tape for
      * backwardRays().
      */
     void traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
                    std::span<RayEval> out, RayWorkload *workload = nullptr) override;
-    /** Composite-backward per ray, then one batched model backward. */
+    /** Composite-backward per ray, then one sharded model backward
+     *  (NerfModel::backwardBatchParallel). */
     void backwardRays(std::span<const Vec3f> dcolors) override;
 
     void updateOccupancy(Pcg32 &rng) override;
@@ -96,9 +99,10 @@ class NerfPipeline : public RadianceField
 
     /**
      * Tiled inference render (parallel_render row tiling, jitter off);
-     * bit-identical at any thread count. Always available here.
+     * bit-identical with no pool or any thread count. Always available
+     * here.
      */
-    bool renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out) override;
+    bool renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out) override;
 
   protected:
     void zeroGradsImpl() override;
@@ -111,7 +115,7 @@ class NerfPipeline : public RadianceField
     std::unique_ptr<NerfModel> model_;
     OccupancyGrid grid_;
     RaySampler sampler_;
-    PointWorkspace ws_;
+    /** Workspace of the whole-batch visitor forward. */
     NerfBatchWorkspace batch_ws_;
 
     Adam adam_encoding_;
@@ -122,8 +126,8 @@ class NerfPipeline : public RadianceField
      *  composite tape (the hoisted former pipeline internals). */
     RayBatchEvaluator eval_{"NerfPipeline"};
 
-    // Parallel-training arenas (used only when a pool is attached);
-    // grown once, allocation-free in steady state.
+    // Shard arenas of the batched forward, backward and occupancy
+    // refresh; grown once, allocation-free in steady state.
     NerfParallelWorkspace par_ws_;
     std::vector<Vec3f> occ_positions_;
     std::vector<float> occ_densities_;

@@ -22,7 +22,6 @@
  *   BatchWorkspace makeBatchWorkspace() const;
  *   void forwardPointBatch(pos, dirs, ws, sigmas, rgbs) const;  // bit-exact/sample
  *   void queryDensityBatch(pos, ws, sigmas) const;              // bit-exact/sample
- *   void backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);     // into model grads
  *   std::size_t gradCount() const;
  *   void backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads) const;
  *   void accumulateGradients(std::span<const float> grads);     // shard merge
@@ -36,7 +35,6 @@
 #ifndef FUSION3D_NERF_POINT_PIPELINE_H_
 #define FUSION3D_NERF_POINT_PIPELINE_H_
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -49,6 +47,7 @@
 #include "nerf/radiance_field.h"
 #include "nerf/renderer.h"
 #include "nerf/sampler.h"
+#include "nerf/shard_partition.h"
 
 namespace fusion3d::nerf
 {
@@ -79,12 +78,6 @@ class PointPipeline : public RadianceField
 {
   public:
     using Config = PointPipelineConfig<typename ModelT::Config>;
-
-    /** Samples per shard / shard cap of the pooled batch paths — the
-     *  same partition policy as NerfModel, fixed by batch size alone so
-     *  results are identical at any pool size. */
-    static constexpr std::size_t kShardGrain = 256;
-    static constexpr std::size_t kMaxShards = 16;
 
     explicit PointPipeline(const Config &cfg)
         : cfg_(cfg),
@@ -178,8 +171,8 @@ class PointPipeline : public RadianceField
     /**
      * Batch-native override: Stage I samples every ray into one CSR
      * SampleBatch, the model's batched forward evaluates the flattened
-     * samples (pool-sharded over a fixed partition when a pool is
-     * attached — bit-exact at any pool size because every sample's
+     * samples over the fixed shard partition (on the pool, or inline
+     * without one — bit-exact either way because every sample's
      * arithmetic is batch-invariant), and each ray composites over its
      * offset range. record=true keeps the batch as the backwardRays
      * tape.
@@ -195,9 +188,9 @@ class PointPipeline : public RadianceField
 
     /**
      * Composite-backward per ray, then one batched model backward —
-     * per-shard private gradient buffers merged in fixed shard order
-     * when a pool is attached, so trained weights are bit-identical at
-     * any pool size.
+     * per-shard private gradient buffers merged in fixed shard order,
+     * so trained weights are bit-identical with no pool or any pool
+     * size.
      */
     void
     backwardRays(std::span<const Vec3f> dcolors) override
@@ -213,18 +206,14 @@ class PointPipeline : public RadianceField
     void
     updateOccupancy(Pcg32 &rng) override
     {
-        if (pool_) {
-            // Split update: the jitter draws happen serially in cell
-            // order (identical rng stream to grid_.update), then the
-            // probes run as one sharded density batch — bit-exact per
-            // sample with the scalar queryDensity path.
-            grid_.collectProbePositions(rng, occ_positions_);
-            occ_densities_.resize(occ_positions_.size());
-            queryDensitySharded(occ_positions_, occ_densities_);
-            grid_.applyDensities(occ_densities_);
-            return;
-        }
-        grid_.update([this](const Vec3f &p) { return model_->queryDensity(p); }, rng);
+        // Split update: the jitter draws happen serially in cell order
+        // (identical rng stream to grid_.update), then the probes run
+        // as one sharded density batch — bit-exact per sample with the
+        // scalar queryDensity oracle.
+        grid_.collectProbePositions(rng, occ_positions_);
+        occ_densities_.resize(occ_positions_.size());
+        queryDensitySharded(occ_positions_, occ_densities_);
+        grid_.applyDensities(occ_densities_);
     }
 
     void quantizeWeights() override { model_->quantizeWeights(); }
@@ -234,10 +223,10 @@ class PointPipeline : public RadianceField
     /**
      * Tiled inference render through the backend's ServeableField
      * wrapper (parallel_render row tiling, jitter off); bit-identical
-     * at any thread count. Always available here.
+     * with no pool or any thread count. Always available here.
      */
     bool
-    renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out) override
+    renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out) override
     {
         TiledRenderConfig tcfg;
         tcfg.sampler = cfg_.sampler;
@@ -245,7 +234,7 @@ class PointPipeline : public RadianceField
         tcfg.render = cfg_.render;
         tcfg.seed = cfg_.seed;
         const PointServeField<ModelT> field(*model_);
-        out = renderImageTiled(field, &grid_, camera, tcfg, &pool);
+        out = renderImageTiled(field, &grid_, camera, tcfg, pool);
         return true;
     }
 
@@ -261,25 +250,11 @@ class PointPipeline : public RadianceField
     void
     invalidateTapes() override
     {
-        RadianceField::invalidateTapes();
         eval_.invalidateTape();
         tape_valid_ = false;
     }
 
   private:
-    /** Fixed shard partition: shard s of S covers [s*n/S, (s+1)*n/S). */
-    static std::size_t
-    shardBegin(std::size_t n, std::size_t shards, std::size_t s)
-    {
-        return s * n / shards;
-    }
-
-    static std::size_t
-    shardCount(std::size_t n)
-    {
-        return std::min(kMaxShards, (n + kShardGrain - 1) / kShardGrain);
-    }
-
     /** Grow the per-shard workspace set to at least @p shards. */
     void
     growShardWorkspaces(std::size_t shards)
@@ -292,35 +267,15 @@ class PointPipeline : public RadianceField
     forwardSharded(SampleBatch &batch)
     {
         const std::size_t n = batch.size();
-        if (n == 0)
-            return;
-        const std::size_t shards = shardCount(n);
-        if (!pool_ || shards <= 1) {
-            model_->forwardPointBatch(batch.positions, batch.dirs, batch_ws_,
-                                      batch.sigmas, batch.rgbs);
-            return;
-        }
-        growShardWorkspaces(shards);
+        growShardWorkspaces(shardCount(n));
         const ModelT &model = *model_;
-        pool_->parallelFor(
-            0, static_cast<int>(shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s) {
-                    const std::size_t lo =
-                        shardBegin(n, shards, static_cast<std::size_t>(s));
-                    const std::size_t hi =
-                        shardBegin(n, shards, static_cast<std::size_t>(s) + 1);
-                    if (lo == hi)
-                        continue;
-                    model.forwardPointBatch(
-                        std::span<const Vec3f>(batch.positions).subspan(lo, hi - lo),
-                        std::span<const Vec3f>(batch.dirs).subspan(lo, hi - lo),
-                        shard_ws_[static_cast<std::size_t>(s)],
-                        std::span<float>(batch.sigmas).subspan(lo, hi - lo),
-                        std::span<Vec3f>(batch.rgbs).subspan(lo, hi - lo));
-                }
-            },
-            /*grain=*/1);
+        forEachShard(n, pool_, [&](std::size_t s, std::size_t lo, std::size_t hi) {
+            model.forwardPointBatch(
+                std::span<const Vec3f>(batch.positions).subspan(lo, hi - lo),
+                std::span<const Vec3f>(batch.dirs).subspan(lo, hi - lo), shard_ws_[s],
+                std::span<float>(batch.sigmas).subspan(lo, hi - lo),
+                std::span<Vec3f>(batch.rgbs).subspan(lo, hi - lo));
+        });
     }
 
     void
@@ -328,39 +283,20 @@ class PointPipeline : public RadianceField
                     std::span<const Vec3f> drgbs)
     {
         const std::size_t n = batch.size();
-        if (n == 0)
-            return;
         const std::size_t shards = shardCount(n);
-        if (!pool_ || shards <= 1) {
-            model_->backwardPointBatch(batch.positions, batch.dirs, dsigmas, drgbs,
-                                       batch_ws_);
-            return;
-        }
         growShardWorkspaces(shards);
         if (shard_grads_.size() < shards)
             shard_grads_.resize(shards);
         const ModelT &model = *model_;
-        pool_->parallelFor(
-            0, static_cast<int>(shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s) {
-                    const std::size_t lo =
-                        shardBegin(n, shards, static_cast<std::size_t>(s));
-                    const std::size_t hi =
-                        shardBegin(n, shards, static_cast<std::size_t>(s) + 1);
-                    std::vector<float> &grads =
-                        shard_grads_[static_cast<std::size_t>(s)];
-                    grads.assign(model.gradCount(), 0.0f);
-                    if (lo == hi)
-                        continue;
-                    model.backwardPointBatchInto(
-                        std::span<const Vec3f>(batch.positions).subspan(lo, hi - lo),
-                        std::span<const Vec3f>(batch.dirs).subspan(lo, hi - lo),
-                        dsigmas.subspan(lo, hi - lo), drgbs.subspan(lo, hi - lo),
-                        shard_ws_[static_cast<std::size_t>(s)], grads);
-                }
-            },
-            /*grain=*/1);
+        forEachShard(n, pool_, [&](std::size_t s, std::size_t lo, std::size_t hi) {
+            std::vector<float> &grads = shard_grads_[s];
+            grads.assign(model.gradCount(), 0.0f);
+            model.backwardPointBatchInto(
+                std::span<const Vec3f>(batch.positions).subspan(lo, hi - lo),
+                std::span<const Vec3f>(batch.dirs).subspan(lo, hi - lo),
+                dsigmas.subspan(lo, hi - lo), drgbs.subspan(lo, hi - lo), shard_ws_[s],
+                grads);
+        });
         // Deterministic reduction: shard-ascending merge into the model
         // accumulators — the order depends only on the partition, never
         // on pool size or completion order.
@@ -371,32 +307,13 @@ class PointPipeline : public RadianceField
     void
     queryDensitySharded(std::span<const Vec3f> pos, std::span<float> sigmas)
     {
-        const std::size_t n = pos.size();
-        if (n == 0)
-            return;
-        const std::size_t shards = shardCount(n);
-        if (!pool_ || shards <= 1) {
-            model_->queryDensityBatch(pos, batch_ws_, sigmas);
-            return;
-        }
-        growShardWorkspaces(shards);
+        growShardWorkspaces(shardCount(pos.size()));
         const ModelT &model = *model_;
-        pool_->parallelFor(
-            0, static_cast<int>(shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s) {
-                    const std::size_t lo =
-                        shardBegin(n, shards, static_cast<std::size_t>(s));
-                    const std::size_t hi =
-                        shardBegin(n, shards, static_cast<std::size_t>(s) + 1);
-                    if (lo == hi)
-                        continue;
-                    model.queryDensityBatch(pos.subspan(lo, hi - lo),
-                                            shard_ws_[static_cast<std::size_t>(s)],
-                                            sigmas.subspan(lo, hi - lo));
-                }
-            },
-            /*grain=*/1);
+        forEachShard(pos.size(), pool_,
+                     [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                         model.queryDensityBatch(pos.subspan(lo, hi - lo), shard_ws_[s],
+                                                 sigmas.subspan(lo, hi - lo));
+                     });
     }
 
     Config cfg_;
@@ -420,10 +337,8 @@ class PointPipeline : public RadianceField
     std::vector<RaySample> scratch_samples_;
     CompositeBackwardScratch composite_scratch_;
 
-    // Batched-evaluation scratch: the serial workspace plus per-shard
-    // workspaces and private gradient buffers for the pooled paths.
-    // Grown once, allocation-free in steady state.
-    typename ModelT::BatchWorkspace batch_ws_;
+    // Batched-evaluation scratch: per-shard workspaces and private
+    // gradient buffers. Grown once, allocation-free in steady state.
     std::vector<typename ModelT::BatchWorkspace> shard_ws_;
     std::vector<std::vector<float>> shard_grads_;
     std::vector<Vec3f> occ_positions_;

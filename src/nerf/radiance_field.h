@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "common/ray.h"
 #include "common/rng.h"
@@ -67,13 +66,9 @@ class RadianceField
     virtual void backwardLastRay(const Vec3f &dcolor) = 0;
 
     /**
-     * Render a batch of rays. The base implementation loops traceRay()
-     * per ray in order (so jitter streams match the scalar path) and,
-     * when @p record is set, snapshots the rng per ray so the base
-     * backwardRays() can re-trace each ray. Batch-native fields
-     * (NerfPipeline, MoeField) override both with one flattened
-     * SoA evaluation — every consumer of this entry point rides the
-     * GEMM-shaped batch core.
+     * Render a batch of rays as one flattened SoA evaluation through
+     * the GEMM-shaped batch core. The rng is consumed ray by ray, so
+     * jitter streams match a traceRay() loop over the same rays.
      *
      * @param rays     Rays in normalized model coordinates.
      * @param rng      Source of sampling jitter, consumed ray by ray.
@@ -82,15 +77,13 @@ class RadianceField
      * @param workload Optional aggregate Stage-I trace over the batch.
      */
     virtual void traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
-                           std::span<RayEval> out, RayWorkload *workload = nullptr);
+                           std::span<RayEval> out, RayWorkload *workload = nullptr) = 0;
 
     /**
      * Backpropagate per-ray dL/d(color) for the batch recorded by the
-     * last traceRays(record=true). The base implementation re-traces
-     * each ray from its rng snapshot (recompute-in-backward) and calls
-     * backwardLastRay per ray.
+     * last traceRays(record=true).
      */
-    virtual void backwardRays(std::span<const Vec3f> dcolors);
+    virtual void backwardRays(std::span<const Vec3f> dcolors) = 0;
 
     /**
      * Zero all accumulated parameter gradients. Non-virtual template
@@ -130,21 +123,22 @@ class RadianceField
     /**
      * Attach a thread pool the field may use to parallelize batched
      * work (traceRays/backwardRays sharding, optimizerStep,
-     * updateOccupancy). Null detaches; the pool must outlive the
-     * field's use of it. With a pool attached, results are reproducible
-     * for a given seed at ANY pool size — the shard partition and
-     * gradient reduction order are fixed by batch size alone.
+     * updateOccupancy). Null detaches and runs the same shards inline;
+     * the pool must outlive the field's use of it. Results are
+     * bit-identical for a given seed with no pool or ANY pool size —
+     * the shard partition and gradient reduction order are fixed by
+     * batch size alone.
      */
     virtual void setThreadPool(ThreadPool *pool) { pool_ = pool; }
     ThreadPool *threadPool() const { return pool_; }
 
     /**
-     * Render @p camera's view as parallel row-tiles on @p pool,
-     * bit-identical regardless of tiling or thread count. Returns false
-     * if this field has no tiled path (the base class doesn't); the
-     * caller then falls back to its serial render loop.
+     * Render @p camera's view as row-tiles on @p pool (inline when it
+     * is null), jitter off, bit-identical regardless of tiling or
+     * thread count. Returns false if this field has no tiled path (the
+     * base class doesn't); the caller then falls back to its row loop.
      */
-    virtual bool renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out)
+    virtual bool renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out)
     {
         (void)camera;
         (void)pool;
@@ -162,22 +156,12 @@ class RadianceField
     /**
      * Drop every recorded evaluation tape so a stale backwardRays() /
      * backwardLastRay() panics instead of re-tracing against updated
-     * weights. Derived fields with native tapes extend this (calling
-     * the base version) to clear theirs too.
+     * weights.
      */
-    virtual void invalidateTapes() { fallback_valid_ = false; }
+    virtual void invalidateTapes() = 0;
 
-    /** Pool attached via setThreadPool (null = serial). */
+    /** Pool attached via setThreadPool (null = shards run inline). */
     ThreadPool *pool_ = nullptr;
-
-  private:
-    // Batch tape of the base traceRays()/backwardRays() fallback:
-    // the rays and a per-ray rng snapshot (Pcg32 is a trivially
-    // copyable value type), enough to re-trace each ray with identical
-    // jitter during the backward pass.
-    std::vector<Ray> fallback_rays_;
-    std::vector<Pcg32> fallback_rngs_;
-    bool fallback_valid_ = false;
 };
 
 } // namespace fusion3d::nerf

@@ -98,14 +98,4 @@ compositeBackward(std::span<const float> sigmas, std::span<const Vec3f> rgbs,
     }
 }
 
-void
-compositeBackward(std::span<const float> sigmas, std::span<const Vec3f> rgbs,
-                  std::span<const float> dts, const RenderParams &params,
-                  const CompositeResult &fwd, const Vec3f &dcolor,
-                  std::span<float> dsigmas, std::span<Vec3f> drgbs)
-{
-    CompositeBackwardScratch scratch;
-    compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, dsigmas, drgbs, scratch);
-}
-
 } // namespace fusion3d::nerf

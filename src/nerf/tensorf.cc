@@ -452,32 +452,6 @@ TensorfModel::scatterFactorGradients(std::span<const Vec3f> pos,
 }
 
 void
-TensorfModel::backwardPointBatch(std::span<const Vec3f> pos,
-                                 std::span<const Vec3f> dirs,
-                                 std::span<const float> dsigmas,
-                                 std::span<const Vec3f> drgbs, BatchWorkspace &ws)
-{
-    const std::size_t n = pos.size();
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
-
-    if (ws.dColorOut.size() < 3 * n)
-        ws.dColorOut.resize(3 * n);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (int i = 0; i < 3; ++i) {
-            const float sv = ws.fwdRgbs[s][i];
-            ws.dColorOut[static_cast<std::size_t>(i) * n + s] =
-                drgbs[s][i] * sv * (1.0f - sv);
-        }
-    }
-    color_net_->backwardBatch({ws.dColorOut.data(), 3 * n}, n, ws.colorWs);
-    scatterFactorGradients(pos, dsigmas, ws, grads_);
-}
-
-void
 TensorfModel::backwardPointBatchInto(std::span<const Vec3f> pos,
                                      std::span<const Vec3f> dirs,
                                      std::span<const float> dsigmas,

@@ -140,25 +140,18 @@ class TensorfModel
     void queryDensityBatch(std::span<const Vec3f> pos, BatchWorkspace &ws,
                            std::span<float> sigmas) const;
 
-    /**
-     * Batched backward into the internal gradient accumulators.
-     * Recomputes the forward internally; factor scatters run
-     * sample-ascending in the scalar per-sample order.
-     */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
-
     /** Length of the flat gradient vector backwardPointBatchInto fills:
      *  factor/basis grads first, then color-net grads. */
     std::size_t gradCount() const { return paramCount(); }
 
     /**
-     * Shard entry point of parallel training: like backwardPointBatch
-     * but const, accumulating into a caller-provided flat buffer
-     * (gradCount() floats, factor block then color-net block). Shards
-     * own private buffers; accumulateGradients() merges them in fixed
-     * shard order.
+     * Batched backward of one training shard, accumulating into a
+     * caller-provided flat buffer (gradCount() floats, factor block then
+     * color-net block) instead of the model; const, so shards run
+     * concurrently. Recomputes the forward internally; factor scatters
+     * run sample-ascending in the scalar per-sample order. Shards own
+     * private buffers; accumulateGradients() merges them in fixed shard
+     * order.
      */
     void backwardPointBatchInto(std::span<const Vec3f> pos,
                                 std::span<const Vec3f> dirs,

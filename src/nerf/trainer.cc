@@ -138,9 +138,11 @@ Trainer::renderView(const Camera &camera)
 {
     F3D_TRACE_SPAN("train", "render_view");
     Image out(camera.width(), camera.height());
-    // With a pool configured, fields with a tiled path (NerfPipeline)
-    // render as parallel row-tiles — bit-identical at any thread count.
-    if (cfg_.pool && field_.renderViewTiled(camera, *cfg_.pool, out))
+    // Fields with a tiled path (every pipeline but MoeField) render as
+    // unjittered row-tiles, on the pool when one is configured and
+    // inline otherwise — bit-identical either way, so eval PSNR does
+    // not depend on the pool.
+    if (field_.renderViewTiled(camera, cfg_.pool, out))
         return out;
     const std::size_t width = static_cast<std::size_t>(camera.width());
     for (int y = 0; y < camera.height(); ++y) {
@@ -148,7 +150,7 @@ Trainer::renderView(const Camera &camera)
         // re-seed their own generator (the tiled renderer's scheme)
         // rather than drawing from rng_: evaluation must not perturb
         // the training stream, or interleaved evals would make weights
-        // depend on the eval schedule and the render path taken.
+        // depend on the eval schedule.
         Pcg32 row_rng(cfg_.seed + static_cast<std::uint64_t>(y),
                       0x9e3779b97f4a7c15ULL);
         batch_rays_.clear();

@@ -177,9 +177,9 @@ class ServerStats
     sim::Distribution &queue_depth_;
     sim::Distribution &batch_size_;
     sim::Histogram &latency_log2us_;
-    sim::Quantiles &latency_quantiles_;
+    obs::Quantiles &latency_quantiles_;
     /** Per-outcome latency quantiles ("latency_ms_<outcome>"). */
-    sim::Quantiles *outcome_latency_[kOutcomes];
+    obs::Quantiles *outcome_latency_[kOutcomes];
     std::uint64_t worst_id_ = 0;
     double worst_ms_ = 0.0;
     /** Keyed by normalized tenant id ("" → "default"). unique_ptr:

@@ -1,7 +1,7 @@
 /** @file Equivalence tests of the batched SoA evaluation core against
  *  the scalar reference oracle (forwardPoint/backwardPoint) for all
  *  three backends (hash-grid, FreqNeRF, TensoRF), plus the
- *  nerf.batch.* metrics and the compositeBackward scratch overload. */
+ *  nerf.batch.* metrics. */
 
 #include <cmath>
 #include <vector>
@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "nerf/freq_nerf.h"
 #include "nerf/nerf_model.h"
-#include "nerf/renderer.h"
 #include "nerf/tensorf.h"
 #include "obs/metrics.h"
 
@@ -76,7 +75,8 @@ TEST(BatchEval, ForwardBatchMatchesForwardPointBitExact)
 }
 
 /**
- * backwardBatch accumulates the same parameter gradients as per-point
+ * The batched backward (backwardBatchParallel, shards inline without a
+ * pool) accumulates the same parameter gradients as per-point
  * backwardPoint; tolerance covers the cross-sample reassociation of
  * the batch reduction (within a sample the order is identical).
  */
@@ -103,9 +103,9 @@ TEST(BatchEval, BackwardBatchMatchesBackwardPoint)
     for (std::size_t j = 0; j < n; ++j)
         scalar.backwardPoint(pos[j], dirs[j], dsigmas[j], drgbs[j], pws);
 
-    NerfBatchWorkspace bws = batched.makeBatchWorkspace();
+    NerfParallelWorkspace bws;
     batched.zeroGrads();
-    batched.backwardBatch(pos, dirs, dsigmas, drgbs, bws);
+    batched.backwardBatchParallel(pos, dirs, dsigmas, drgbs, bws, nullptr);
 
     const auto check = [](std::span<float> got, std::span<float> want,
                           const char *what) {
@@ -120,8 +120,8 @@ TEST(BatchEval, BackwardBatchMatchesBackwardPoint)
 }
 
 /**
- * Central-difference gradient check of backwardBatch through the whole
- * model: L = sum_j dsigma_j * sigma_j + dot(drgb_j, rgb_j).
+ * Central-difference gradient check of the batched backward through
+ * the whole model: L = sum_j dsigma_j * sigma_j + dot(drgb_j, rgb_j).
  */
 TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
 {
@@ -154,7 +154,8 @@ TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
     };
 
     model.zeroGrads();
-    model.backwardBatch(pos, dirs, dsigmas, drgbs, bws);
+    NerfParallelWorkspace pws;
+    model.backwardBatchParallel(pos, dirs, dsigmas, drgbs, pws, nullptr);
 
     // Sample parameters from both MLPs (the encoding's FD coverage
     // lives in test_hash_encoding's BackwardMatchesFiniteDifference).
@@ -208,7 +209,7 @@ TEST(BatchEval, SamplesMetricCountsBatchedWork)
 
 // ---------------------------------------------------------------------------
 // Point-model backends (FreqNeRF, TensoRF): the same batched-vs-scalar
-// contract through the forwardPointBatch/backwardPointBatch kernels.
+// contract through the forwardPointBatch/backwardPointBatchInto kernels.
 // ---------------------------------------------------------------------------
 
 FreqNerfConfig
@@ -296,7 +297,21 @@ expectGradsClose(std::span<const float> got, std::span<const float> want,
             << what << " grad " << i;
 }
 
-/** backwardPointBatch accumulates the same gradients as the per-point
+/** The batched backward as PointPipeline runs one shard of it:
+ *  backwardPointBatchInto a private buffer, then accumulateGradients
+ *  into the model. */
+template <class ModelT>
+void
+batchBackward(ModelT &model, const std::vector<Vec3f> &pos,
+              const std::vector<Vec3f> &dirs, const std::vector<float> &dsigmas,
+              const std::vector<Vec3f> &drgbs, typename ModelT::BatchWorkspace &ws)
+{
+    std::vector<float> grads(model.gradCount(), 0.0f);
+    model.backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads);
+    model.accumulateGradients(grads);
+}
+
+/** The batched backward accumulates the same gradients as the per-point
  *  backwardPoint loop (tolerance covers cross-sample reassociation of
  *  the basis/net reductions; within a sample the order is identical). */
 TEST(BatchEval, FreqBackwardBatchMatchesBackwardPoint)
@@ -317,7 +332,7 @@ TEST(BatchEval, FreqBackwardBatchMatchesBackwardPoint)
 
     typename FreqNerfModel::BatchWorkspace ws = batched.makeBatchWorkspace();
     batched.zeroGrads();
-    batched.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    batchBackward(batched, pos, dirs, dsigmas, drgbs, ws);
 
     expectGradsClose(batched.trunk().grads(), scalar.trunk().grads(), "trunk");
     expectGradsClose(batched.colorNet().grads(), scalar.colorNet().grads(),
@@ -342,7 +357,7 @@ TEST(BatchEval, TensorfBackwardBatchMatchesBackwardPoint)
 
     typename TensorfModel::BatchWorkspace ws = batched.makeBatchWorkspace();
     batched.zeroGrads();
-    batched.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    batchBackward(batched, pos, dirs, dsigmas, drgbs, ws);
 
     expectGradsClose(batched.factorGrads(), scalar.factorGrads(), "factor");
     expectGradsClose(batched.colorNet().grads(), scalar.colorNet().grads(),
@@ -382,7 +397,7 @@ TEST(BatchEval, FreqBackwardBatchMatchesFiniteDifference)
     randomAdjoints(n, 243, dsigmas, drgbs, /*sigma_scale=*/0.1f);
 
     model.zeroGrads();
-    model.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    batchBackward(model, pos, dirs, dsigmas, drgbs, ws);
 
     const auto fd_check = [&](Mlp &net, const char *what) {
         int checked = 0;
@@ -419,7 +434,7 @@ TEST(BatchEval, TensorfBackwardBatchMatchesFiniteDifference)
     randomAdjoints(n, 253, dsigmas, drgbs, /*sigma_scale=*/0.1f);
 
     model.zeroGrads();
-    model.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    batchBackward(model, pos, dirs, dsigmas, drgbs, ws);
 
     int checked = 0;
     for (std::size_t i = 0; i < model.factorParams().size(); i += 11) {
@@ -438,38 +453,6 @@ TEST(BatchEval, TensorfBackwardBatchMatchesFiniteDifference)
         ++checked;
     }
     EXPECT_GT(checked, 5);
-}
-
-/** The scratch overload of compositeBackward matches the legacy
- *  allocating overload exactly, including scratch reuse across rays
- *  of different lengths. */
-TEST(BatchEval, CompositeBackwardScratchMatchesLegacy)
-{
-    Pcg32 rng(141);
-    RenderParams params;
-    CompositeBackwardScratch scratch;
-
-    for (const std::size_t n : {std::size_t{16}, std::size_t{5}, std::size_t{32}}) {
-        std::vector<float> sigmas(n), dts(n);
-        std::vector<Vec3f> rgbs(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            sigmas[i] = rng.nextRange(0.0f, 8.0f);
-            dts[i] = rng.nextRange(0.01f, 0.05f);
-            rgbs[i] = rng.nextVec3();
-        }
-        const CompositeResult fwd = composite(sigmas, rgbs, dts, params);
-        const Vec3f dcolor{0.4f, -0.2f, 0.7f};
-
-        std::vector<float> ds_a(n), ds_b(n);
-        std::vector<Vec3f> dr_a(n), dr_b(n);
-        compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, ds_a, dr_a);
-        compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, ds_b, dr_b,
-                          scratch);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(ds_a[i], ds_b[i]) << "n " << n << " sample " << i;
-            EXPECT_EQ(dr_a[i], dr_b[i]) << "n " << n << " sample " << i;
-        }
-    }
 }
 
 } // namespace

@@ -300,8 +300,9 @@ TEST(HashGrid, EncodeBatchMatchesScalarBitExact)
 }
 
 /**
- * Batched backward scatter accumulates the same per-parameter gradient
- * as point-at-a-time backward; tolerance only covers the level-major
+ * Batched backward scatter (backwardBatchInto a shard accumulator, then
+ * mergeGradShards) accumulates the same per-parameter gradient as
+ * point-at-a-time backward; tolerance only covers the level-major
  * reassociation when several points hit the same table slot.
  */
 TEST(HashGrid, BackwardBatchMatchesScalarSum)
@@ -331,7 +332,10 @@ TEST(HashGrid, BackwardBatchMatchesScalarSum)
     std::vector<float> ref(enc.grads().begin(), enc.grads().end());
 
     enc.zeroGrads();
-    enc.backwardBatch(pos, dout);
+    HashGradAccumulator acc;
+    enc.backwardBatchInto(pos, dout, acc);
+    HashGradAccumulator *const shards[] = {&acc};
+    enc.mergeGradShards(shards);
     for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_NEAR(enc.grads()[i], ref[i], 1e-5f + 1e-4f * std::fabs(ref[i]))
             << "param " << i;

@@ -230,7 +230,7 @@ TEST(Mlp, BackwardBatchMatchesScalarAccumulation)
     MlpBatchWorkspace bws = batched.makeBatchWorkspace();
     batched.zeroGrads();
     batched.forwardBatch(input, n, bws);
-    batched.backwardBatch(dout, n, bws);
+    batched.backwardBatchInto(dout, n, bws, batched.grads());
 
     for (std::size_t i = 0; i < batched.paramCount(); ++i) {
         const float ref = scalar.grads()[i];

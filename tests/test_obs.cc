@@ -237,21 +237,21 @@ TEST_F(TracerTest, DropsWhenThreadBufferFull)
 
 TEST(QuantilesTest, EmptyReturnsZero)
 {
-    sim::Quantiles q("empty");
+    obs::Quantiles q("empty");
     EXPECT_EQ(q.count(), 0u);
     EXPECT_EQ(q.quantile(0.5), 0.0);
 }
 
 TEST(QuantilesTest, UniformAccuracyWithinBound)
 {
-    sim::Quantiles q("uniform");
+    obs::Quantiles q("uniform");
     constexpr int kN = 10000;
     for (int i = 1; i <= kN; ++i)
         q.sample(static_cast<double>(i));
     EXPECT_EQ(q.count(), static_cast<std::uint64_t>(kN));
 
     // Documented relative-error bound of the log2 sub-bucket layout.
-    const double bound = 1.0 / sim::Quantiles::kSubBuckets;
+    const double bound = 1.0 / obs::Quantiles::kSubBuckets;
     for (const double p : {0.10, 0.50, 0.90, 0.95, 0.99}) {
         const double exact = p * kN;
         const double est = q.quantile(p);
@@ -264,62 +264,62 @@ TEST(QuantilesTest, SubMillisecondLatenciesWithinBound)
 {
     // Latencies in ms can be far below 1; the estimator must stay
     // accurate across negative octaves too.
-    sim::Quantiles q("sub_ms");
+    obs::Quantiles q("sub_ms");
     std::vector<double> values;
     for (int i = 1; i <= 2000; ++i)
         values.push_back(0.001 * i); // 1 us .. 2 ms in ms units
     for (const double v : values)
         q.sample(v);
-    const double bound = 1.0 / sim::Quantiles::kSubBuckets;
+    const double bound = 1.0 / obs::Quantiles::kSubBuckets;
     const double exact50 = values[values.size() / 2 - 1];
     EXPECT_NEAR(q.quantile(0.5), exact50, bound * exact50 + 1e-12);
 }
 
 TEST(QuantilesTest, SingleValueAllQuantilesAgree)
 {
-    sim::Quantiles q("single");
+    obs::Quantiles q("single");
     for (int i = 0; i < 100; ++i)
         q.sample(7.0);
     const double p50 = q.quantile(0.5);
     EXPECT_EQ(p50, q.quantile(0.01));
     EXPECT_EQ(p50, q.quantile(0.99));
-    EXPECT_NEAR(p50, 7.0, 7.0 / sim::Quantiles::kSubBuckets);
+    EXPECT_NEAR(p50, 7.0, 7.0 / obs::Quantiles::kSubBuckets);
 }
 
 TEST(QuantilesTest, NonPositiveAndHugeValuesAreClamped)
 {
-    sim::Quantiles q("clamped");
+    obs::Quantiles q("clamped");
     q.sample(0.0);
     q.sample(-3.0);
     q.sample(1e300);
     EXPECT_EQ(q.count(), 3u);
     // Smallest representable bucket for the non-positives...
-    EXPECT_LE(q.quantile(0.01), std::ldexp(2.0, sim::Quantiles::kMinOctave));
+    EXPECT_LE(q.quantile(0.01), std::ldexp(2.0, obs::Quantiles::kMinOctave));
     // ...largest for the huge value; both finite.
     EXPECT_TRUE(std::isfinite(q.quantile(1.0)));
-    EXPECT_GE(q.quantile(1.0), std::ldexp(1.0, sim::Quantiles::kMaxOctave - 1));
+    EXPECT_GE(q.quantile(1.0), std::ldexp(1.0, obs::Quantiles::kMaxOctave - 1));
 }
 
 TEST(QuantilesTest, ResetClearsState)
 {
-    sim::Quantiles q("reset");
+    obs::Quantiles q("reset");
     for (int i = 1; i <= 100; ++i)
         q.sample(i);
     q.reset();
     EXPECT_EQ(q.count(), 0u);
     EXPECT_EQ(q.quantile(0.5), 0.0);
     q.sample(4.0);
-    EXPECT_NEAR(q.quantile(0.5), 4.0, 4.0 / sim::Quantiles::kSubBuckets);
+    EXPECT_NEAR(q.quantile(0.5), 4.0, 4.0 / obs::Quantiles::kSubBuckets);
 }
 
 TEST(QuantilesTest, WeightedSamples)
 {
-    sim::Quantiles q("weighted");
+    obs::Quantiles q("weighted");
     q.sample(1.0, 99);
     q.sample(1024.0, 1);
     EXPECT_EQ(q.count(), 100u);
-    EXPECT_NEAR(q.quantile(0.5), 1.0, 1.0 / sim::Quantiles::kSubBuckets);
-    EXPECT_NEAR(q.quantile(1.0), 1024.0, 1024.0 / sim::Quantiles::kSubBuckets);
+    EXPECT_NEAR(q.quantile(0.5), 1.0, 1.0 / obs::Quantiles::kSubBuckets);
+    EXPECT_NEAR(q.quantile(1.0), 1024.0, 1024.0 / obs::Quantiles::kSubBuckets);
 }
 
 // --- sim::Stats reset paths (previously untested) ----------------------
@@ -367,7 +367,7 @@ TEST(StatsResetTest, StatGroupResetAllCoversQuantiles)
 {
     sim::StatGroup group("g");
     sim::Counter &c = group.addCounter("c");
-    sim::Quantiles &q = group.addQuantiles("q");
+    obs::Quantiles &q = group.addQuantiles("q");
     c.inc(5);
     q.sample(10.0);
     group.resetAll();
@@ -486,7 +486,7 @@ TEST(MetricsRegistryTest, StatGroupCollectSurfacesEveryStatKind)
     EXPECT_EQ(find("grp.hist")->value, 5.0);
     ASSERT_NE(find("grp.lat.p99"), nullptr);
     EXPECT_NEAR(find("grp.lat.p99")->value, 8.0,
-                8.0 / sim::Quantiles::kSubBuckets);
+                8.0 / obs::Quantiles::kSubBuckets);
 }
 
 TEST(MetricsRegistryTest, PrometheusNameSanitization)
@@ -506,7 +506,7 @@ TEST(ServerStatsObsTest, LatencyPercentilesWithinBound)
     for (int i = 1; i <= 100; ++i)
         stats.recordOutcome(serve::Outcome::renderedFull,
                             static_cast<double>(i));
-    const double bound = 1.0 / sim::Quantiles::kSubBuckets;
+    const double bound = 1.0 / obs::Quantiles::kSubBuckets;
     EXPECT_NEAR(stats.p50LatencyMs(), 50.0, 50.0 * bound);
     EXPECT_NEAR(stats.p95LatencyMs(), 95.0, 95.0 * bound);
     EXPECT_NEAR(stats.p99LatencyMs(), 99.0, 99.0 * bound);

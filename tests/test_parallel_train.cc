@@ -2,16 +2,20 @@
  * @file
  * Tests of parallel training (DESIGN.md §8): sharded forward/backward
  * across the ThreadPool with deterministic gradient reduction. The
- * contract under test: with a pool attached, a given seed reproduces
- * bit-identical weights and PSNR at ANY pool size, because the shard
- * partition and the reduction order depend only on the batch — never on
- * thread count or scheduling. The chaos test runs checkpoint faults
- * under parallel training and is part of the TSan CI job.
+ * contract under test: a given seed reproduces bit-identical weights
+ * and PSNR with no pool or ANY pool size, because the shard partition
+ * and the reduction order depend only on the batch — never on thread
+ * count or scheduling — and a null pool runs the same shards inline.
+ * The chaos test runs checkpoint faults under parallel training and is
+ * part of the TSan CI job.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/fault.h"
@@ -70,6 +74,22 @@ allParams(NerfPipeline &pipe)
     return out;
 }
 
+/** Worker count that stands for "no pool" in the invariance loops. */
+constexpr int kNoPool = -1;
+
+/** A pool of @p workers threads, or null for kNoPool. */
+std::unique_ptr<ThreadPool>
+makePool(int workers)
+{
+    return workers == kNoPool ? nullptr : std::make_unique<ThreadPool>(workers);
+}
+
+std::string
+poolLabel(int workers)
+{
+    return workers == kNoPool ? "no pool" : std::to_string(workers) + " workers";
+}
+
 struct TrainOutcome
 {
     std::vector<float> params;
@@ -99,33 +119,59 @@ trainWithPool(ThreadPool *pool, int evalEvery = 0)
 
 TEST(ParallelTrain, SameSeedIdenticalWeightsAcrossPoolSizes)
 {
-    // Reference at one worker, compared against 2 and 7 workers plus a
-    // zero-thread pool (parallelFor runs inline on the caller). All
-    // four must agree bitwise: the issue's acceptance criterion.
+    // Reference at one worker, compared against 2 and 7 workers, a
+    // zero-thread pool (parallelFor runs inline on the caller) and no
+    // pool at all (the same shards run inline). All five must agree
+    // bitwise, weights and PSNR.
     ThreadPool pool1(1);
     const TrainOutcome ref = trainWithPool(&pool1);
     ASSERT_FALSE(ref.params.empty());
 
-    for (const int workers : {2, 7, 0}) {
-        ThreadPool pool(workers);
-        const TrainOutcome got = trainWithPool(&pool);
+    for (const int workers : {2, 7, 0, kNoPool}) {
+        const std::unique_ptr<ThreadPool> pool = makePool(workers);
+        const TrainOutcome got = trainWithPool(pool.get());
         ASSERT_EQ(got.params.size(), ref.params.size());
         std::size_t mismatches = 0;
         for (std::size_t i = 0; i < ref.params.size(); ++i)
             if (got.params[i] != ref.params[i])
                 ++mismatches;
-        EXPECT_EQ(mismatches, 0u) << "at " << workers << " workers";
-        EXPECT_EQ(got.psnr, ref.psnr) << "at " << workers << " workers";
+        EXPECT_EQ(mismatches, 0u) << "with " << poolLabel(workers);
+        EXPECT_EQ(got.psnr, ref.psnr) << "with " << poolLabel(workers);
     }
+}
+
+/** MoE-trained weights of every expert, concatenated. 160 rays per
+ *  batch give each expert more than one shard's worth of samples. */
+std::vector<float>
+trainMoe(ThreadPool *pool, int evalEvery = 0)
+{
+    const Dataset data = tinyDataset();
+    MoeConfig mc;
+    mc.numExperts = 2;
+    mc.expert = tinyPipeline();
+    MoeNerf moe(mc);
+    TrainerConfig tc;
+    tc.iterations = 6;
+    tc.raysPerBatch = 160;
+    tc.evalEvery = evalEvery;
+    tc.pool = pool;
+    Trainer trainer(moe, data, tc);
+    trainer.run();
+    std::vector<float> params;
+    for (int k = 0; k < moe.numExperts(); ++k) {
+        const std::vector<float> p = allParams(moe.expert(k));
+        params.insert(params.end(), p.begin(), p.end());
+    }
+    return params;
 }
 
 TEST(ParallelTrain, InterleavedEvalDoesNotPerturbWeights)
 {
-    // Mid-training evals render through different paths (legacy row
-    // loop vs tiled) depending on whether a pool is configured, and
-    // neither may draw from the training RNG stream: interleaving
+    // Mid-training evals render through the tiled renderer (pipelines)
+    // or the trainer's row loop (MoeField, which has no tiled path),
+    // and neither may draw from the training RNG stream: interleaving
     // evals must leave the trained weights bitwise unchanged on both
-    // paths.
+    // paths, with or without a pool.
     const TrainOutcome plain = trainWithPool(nullptr);
     const TrainOutcome serial_eval = trainWithPool(nullptr, /*evalEvery=*/4);
     ASSERT_EQ(serial_eval.params.size(), plain.params.size());
@@ -141,13 +187,19 @@ TEST(ParallelTrain, InterleavedEvalDoesNotPerturbWeights)
         if (pooled_eval.params[i] != pooled.params[i])
             ++mismatches;
     EXPECT_EQ(mismatches, 0u);
+
+    const std::vector<float> moe_plain = trainMoe(nullptr);
+    const std::vector<float> moe_eval = trainMoe(nullptr, /*evalEvery=*/3);
+    ASSERT_EQ(moe_eval.size(), moe_plain.size());
+    for (std::size_t i = 0; i < moe_plain.size(); ++i)
+        ASSERT_EQ(moe_eval[i], moe_plain[i]) << "MoE param " << i;
 }
 
 TEST(ParallelTrain, PoolForwardBitExactVsSerial)
 {
-    // Sharded forward is bit-exact with the serial no-pool path (the
-    // batched GEMM is batch-size invariant per sample; compositing is
-    // per-ray independent).
+    // The pooled forward is bit-exact with the no-pool path, whose
+    // shards run inline (the batched GEMM is batch-size invariant per
+    // sample; compositing is per-ray independent).
     NerfPipeline serial(tinyPipeline());
     NerfPipeline pooled(tinyPipeline());
     ThreadPool pool(3);
@@ -175,23 +227,38 @@ TEST(ParallelTrain, PoolForwardBitExactVsSerial)
 
 TEST(ParallelTrain, OccupancyUpdateMatchesSerial)
 {
-    // The split update (serial jitter collection + sharded batched
-    // density eval) must reproduce the serial grid update exactly and
-    // consume the identical rng stream.
-    NerfPipeline serial(tinyPipeline());
-    NerfPipeline pooled(tinyPipeline());
-    ThreadPool pool(3);
-    pooled.setThreadPool(&pool);
+    // updateOccupancy (serial jitter collection + sharded batched
+    // density eval) must reproduce the scalar oracle — grid().update
+    // over model().queryDensity — exactly and consume the identical rng
+    // stream, with no pool and with a pool.
+    PipelineConfig pc = tinyPipeline();
+    // Near the init density (sigma ~= 1 under the exp activation), so
+    // the refreshed gate holds both occupied and empty cells.
+    pc.occupancyThreshold = 1.0f;
+    NerfPipeline oracle(pc);
+    PointWorkspace ws = oracle.model().makeWorkspace();
+    Pcg32 rng_ref(7, 3);
+    oracle.grid().update(
+        [&](const Vec3f &p) { return oracle.model().queryDensity(p, ws); }, rng_ref);
+    const std::uint32_t next_ref = rng_ref.nextUint();
+    const double frac = oracle.grid().occupiedFraction();
+    ASSERT_GT(frac, 0.0);
+    ASSERT_LT(frac, 1.0);
 
-    Pcg32 rng_a(7, 3), rng_b(7, 3);
-    serial.updateOccupancy(rng_a);
-    pooled.updateOccupancy(rng_b);
+    for (const int workers : {kNoPool, 3}) {
+        const std::unique_ptr<ThreadPool> pool = makePool(workers);
+        NerfPipeline pipe(pc);
+        pipe.setThreadPool(pool.get());
+        Pcg32 rng(7, 3);
+        pipe.updateOccupancy(rng);
 
-    ASSERT_EQ(serial.grid().cellCount(), pooled.grid().cellCount());
-    for (std::size_t i = 0; i < serial.grid().cellCount(); ++i)
-        ASSERT_EQ(serial.grid().occupiedCell(i), pooled.grid().occupiedCell(i));
-    // Identical draw counts leave the streams in the same state.
-    EXPECT_EQ(rng_a.nextUint(), rng_b.nextUint());
+        ASSERT_EQ(pipe.grid().cellCount(), oracle.grid().cellCount());
+        for (std::size_t i = 0; i < oracle.grid().cellCount(); ++i)
+            ASSERT_EQ(pipe.grid().occupiedCell(i), oracle.grid().occupiedCell(i))
+                << "cell " << i << " with " << poolLabel(workers);
+        // Identical draw counts leave the streams in the same state.
+        EXPECT_EQ(rng.nextUint(), next_ref) << "with " << poolLabel(workers);
+    }
 }
 
 TEST(ParallelTrain, AdamPoolStepBitExact)
@@ -220,8 +287,8 @@ TEST(ParallelTrain, AdamPoolStepBitExact)
 /** Pool-size determinism of the point-model backends: PointPipeline's
  *  shard partition and shard-ascending gradient merge depend only on
  *  the batch, so FreqNeRF and TensoRF training reproduces bit-identical
- *  weights at any pool size — the same contract the hash-grid pipeline
- *  guarantees above. */
+ *  weights with no pool or any pool size — the same contract the
+ *  hash-grid pipeline guarantees above. */
 template <class PipelineT, class CollectFn>
 void
 expectPointTrainingPoolInvariant(const typename PipelineT::Config &cfg,
@@ -244,15 +311,15 @@ expectPointTrainingPoolInvariant(const typename PipelineT::Config &cfg,
     ThreadPool pool1(1);
     const std::vector<float> ref = train(&pool1);
     ASSERT_FALSE(ref.empty());
-    for (const int workers : {3, 0}) {
-        ThreadPool pool(workers);
-        const std::vector<float> got = train(&pool);
+    for (const int workers : {3, 0, kNoPool}) {
+        const std::unique_ptr<ThreadPool> pool = makePool(workers);
+        const std::vector<float> got = train(pool.get());
         ASSERT_EQ(got.size(), ref.size());
         std::size_t mismatches = 0;
         for (std::size_t i = 0; i < ref.size(); ++i)
             if (got[i] != ref[i])
                 ++mismatches;
-        EXPECT_EQ(mismatches, 0u) << "at " << workers << " workers";
+        EXPECT_EQ(mismatches, 0u) << "with " << poolLabel(workers);
     }
 }
 
@@ -301,33 +368,17 @@ TEST(ParallelTrain, MoeDeterministicAcrossPoolSizes)
 {
     // Expert-major parallel backward: each expert's gradients stay
     // thread-local in its own pipeline, so MoE training reproduces the
-    // same weights at any pool size too.
-    const auto train_moe = [](ThreadPool *pool) {
-        const Dataset data = tinyDataset();
-        MoeConfig mc;
-        mc.numExperts = 2;
-        mc.expert = tinyPipeline();
-        MoeNerf moe(mc);
-        TrainerConfig tc;
-        tc.iterations = 6;
-        tc.raysPerBatch = 48;
-        tc.pool = pool;
-        Trainer trainer(moe, data, tc);
-        trainer.run();
-        std::vector<float> params;
-        for (int k = 0; k < moe.numExperts(); ++k) {
-            const std::vector<float> p = allParams(moe.expert(k));
-            params.insert(params.end(), p.begin(), p.end());
-        }
-        return params;
-    };
-
-    ThreadPool pool2(2), pool7(7);
-    const std::vector<float> a = train_moe(&pool2);
-    const std::vector<float> b = train_moe(&pool7);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(a[i], b[i]);
+    // same weights with no pool or any pool size too.
+    ThreadPool pool2(2);
+    const std::vector<float> ref = trainMoe(&pool2);
+    ASSERT_FALSE(ref.empty());
+    for (const int workers : {7, kNoPool}) {
+        const std::unique_ptr<ThreadPool> pool = makePool(workers);
+        const std::vector<float> got = trainMoe(pool.get());
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(got[i], ref[i]) << "param " << i << " with " << poolLabel(workers);
+    }
 }
 
 /** Chaos run: checkpoint faults firing under parallel training. */
@@ -350,7 +401,7 @@ TEST_F(ParallelTrainChaos, CheckpointFaultsUnderParallelTraining)
     tc.iterations = 10;
     tc.raysPerBatch = 48;
     tc.checkpointEvery = 2;
-    tc.checkpointPath = "parallel_chaos_ckpt.f3dm";
+    tc.checkpointPath = ::testing::TempDir() + "parallel_chaos_ckpt.f3dm";
     tc.pool = &pool;
     Trainer trainer(pipe, data, tc);
     trainer.setCheckpointModel(&pipe.model());
@@ -362,6 +413,9 @@ TEST_F(ParallelTrainChaos, CheckpointFaultsUnderParallelTraining)
     EXPECT_EQ(trainer.checkpointsFailed(), 2u);
     EXPECT_EQ(r.iterationsRun, 10);
     EXPECT_TRUE(std::isfinite(r.finalPsnr));
+    // An injected crash may leave the atomic save's temp file behind.
+    std::remove(tc.checkpointPath.c_str());
+    std::remove((tc.checkpointPath + ".tmp").c_str());
 }
 
 } // namespace

@@ -147,11 +147,11 @@ TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
 }
 
 /**
- * Pipelines built on the base-class fallback (here the frequency-
- * encoded NeRF) honor the same traceRays contract: identical results
- * to a per-ray loop, and a working recorded backward.
+ * PointPipeline (here the frequency-encoded NeRF) honors the same
+ * traceRays contract: identical results to a per-ray loop over its
+ * scalar traceRay oracle, and a working recorded backward.
  */
-TEST(Pipeline, FallbackTraceRaysMatchesPerRayLoop)
+TEST(Pipeline, PointPipelineTraceRaysMatchesPerRayLoop)
 {
     FreqPipelineConfig fc;
     fc.model.posFrequencies = 4;
@@ -178,8 +178,8 @@ TEST(Pipeline, FallbackTraceRaysMatchesPerRayLoop)
         EXPECT_EQ(evals[r].samples, ref.samples);
     }
 
-    // The fallback's recorded backward re-traces from RNG snapshots;
-    // it must accept a matching gradient batch without dying.
+    // The recorded batch tape must accept a matching gradient batch
+    // without dying.
     const std::vector<Vec3f> dcolors(rays.size(), Vec3f{0.1f, 0.1f, 0.1f});
     batched.backwardRays(dcolors);
     batched.optimizerStep();

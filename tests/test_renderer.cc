@@ -101,7 +101,8 @@ TEST(CompositeBackward, FiniteDifferenceSigmas)
 
     std::vector<float> dsigmas(n);
     std::vector<Vec3f> drgbs(n);
-    compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, dsigmas, drgbs);
+    CompositeBackwardScratch scratch;
+    compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, dsigmas, drgbs, scratch);
 
     const auto loss = [&]() {
         const auto r = composite(sigmas, rgbs, dts, params);
@@ -136,7 +137,8 @@ TEST(CompositeBackward, FiniteDifferenceColors)
     const auto fwd = composite(sigmas, rgbs, dts, params);
     std::vector<float> dsigmas(n);
     std::vector<Vec3f> drgbs(n);
-    compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, dsigmas, drgbs);
+    CompositeBackwardScratch scratch;
+    compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, dsigmas, drgbs, scratch);
 
     for (int i = 0; i < fwd.used; ++i) {
         for (int ch = 0; ch < 3; ++ch) {
@@ -164,7 +166,9 @@ TEST(CompositeBackward, TerminatedTailGetsZeroGradient)
     ASSERT_EQ(fwd.used, 1);
     std::vector<float> dsigmas(3, 99.0f);
     std::vector<Vec3f> drgbs(3, Vec3f(99.0f));
-    compositeBackward(sigmas, rgbs, dts, params, fwd, {1, 1, 1}, dsigmas, drgbs);
+    CompositeBackwardScratch scratch;
+    compositeBackward(sigmas, rgbs, dts, params, fwd, {1, 1, 1}, dsigmas, drgbs,
+                      scratch);
     EXPECT_FLOAT_EQ(dsigmas[1], 0.0f);
     EXPECT_FLOAT_EQ(dsigmas[2], 0.0f);
     EXPECT_EQ(drgbs[2], Vec3f(0.0f));

@@ -304,13 +304,18 @@ TEST(Simd, HashBackwardBatchBitExactAcrossDispatch)
         for (float &v : dout)
             v = rng.nextFloat() - 0.5f;
         HashGridEncoding hw(mc.grid, 42), sc(mc.grid, 42);
+        HashGradAccumulator acc_hw, acc_sc;
         {
             ScopedForceScalar pin(false);
-            hw.backwardBatch(pos, dout);
+            hw.backwardBatchInto(pos, dout, acc_hw);
+            HashGradAccumulator *const shards[] = {&acc_hw};
+            hw.mergeGradShards(shards);
         }
         {
             ScopedForceScalar pin(true);
-            sc.backwardBatch(pos, dout);
+            sc.backwardBatchInto(pos, dout, acc_sc);
+            HashGradAccumulator *const shards[] = {&acc_sc};
+            sc.mergeGradShards(shards);
         }
         const std::span<float> ghw = hw.grads(), gsc = sc.grads();
         for (std::size_t i = 0; i < ghw.size(); ++i)
