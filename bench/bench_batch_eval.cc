@@ -9,7 +9,10 @@
  * quantized inference modes (fp16/int8 packed weight images) and an
  * end-to-end traceRays section that shows the occupancy-compaction win
  * (fewer MLP-visible samples per ray) rather than hiding it behind
- * per-sample metrics.
+ * per-sample metrics. A serve section measures each backend through
+ * its ServeableField — evalBatch at batch 256 and 2048, and
+ * evalDensityBatch at 256 and at the registry's 48^3 gate size — with
+ * the fresh call-local workspace every serve call pays for.
  *
  * Prints the usual table per configuration plus one machine-readable
  * JSON summary line (prefixed "JSON:", kept as the BENCH_backends.json
@@ -21,7 +24,10 @@
  *    host has no SIMD dispatch to measure);
  *  - end-to-end compaction not reducing MLP-visible samples, running
  *    slower than the ungated baseline, or diverging bit-wise from the
- *    gated path's composited colors.
+ *    gated path's composited colors;
+ *  - a serve field falling from batch 256 to a larger batch: evalBatch
+ *    at 2048, or evalDensityBatch at the 48^3 gate size, below 0.8x the
+ *    same entry point's rate at batch 256.
  *
  * Usage: bench_batch_eval [--quick] [--backend nerf|freq|tensorf|all]
  *                         [--quant fp32|fp16|int8|all] [--simd on|off|both]
@@ -48,6 +54,7 @@
 #include "common/quant.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "nerf/field.h"
 #include "nerf/freq_nerf.h"
 #include "nerf/nerf_model.h"
 #include "nerf/tensorf.h"
@@ -310,6 +317,84 @@ measureE2e(std::size_t budget)
     return r;
 }
 
+// --- Serve fields: the batch-size cliff on the serving entry points -------
+
+/** The registry's gate: one density probe per cell of a 48^3 grid. */
+constexpr std::size_t kGateProbes = 48 * 48 * 48;
+/** A larger serve batch may not fall below this share of its batch-256
+ *  rate (the "no fall from 256 to 2048" gate). */
+constexpr double kServeFallFloor = 0.8;
+
+struct ServeResult
+{
+    std::string backend;
+    std::string quant;
+    double eval256 = 0.0;     ///< evalBatch samples/s at batch 256
+    double eval2048 = 0.0;    ///< evalBatch samples/s at batch 2048
+    double density256 = 0.0;  ///< evalDensityBatch samples/s at batch 256
+    double densityGate = 0.0; ///< evalDensityBatch samples/s at 48^3
+};
+
+/**
+ * Samples/s of @p field's two entry points at the four serve sizes.
+ * The sizes interleave within each of five rounds and each keeps its
+ * best round, so a burst of host noise lands on one round of every
+ * size rather than on one size's whole measurement.
+ */
+ServeResult
+measureServe(const nerf::ServeableField &field, std::size_t budget)
+{
+    std::vector<Vec3f> pos, dirs;
+    fillInputs(kGateProbes, pos, dirs);
+    std::vector<float> sigmas(kGateProbes);
+    std::vector<Vec3f> rgbs(kGateProbes);
+
+    // Every timing covers about the same number of samples (at least
+    // one gate), so no size gets a shorter, luckier window.
+    const std::size_t window = std::max(budget, kGateProbes);
+    /** Best samples/s so far of one entry point at one batch size. */
+    const auto time = [&](std::size_t n, bool density, double &best) {
+        const std::size_t reps = std::max<std::size_t>(1, window / n);
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t rep = 0; rep < reps; ++rep) {
+            if (density)
+                field.evalDensityBatch({pos.data(), n}, {sigmas.data(), n});
+            else
+                field.evalBatch({pos.data(), n}, {dirs.data(), n},
+                                {sigmas.data(), n}, {rgbs.data(), n});
+        }
+        best = std::max(best, static_cast<double>(reps * n) / secondsSince(t0));
+    };
+
+    ServeResult r;
+    r.backend = nerf::backendKindName(field.kind());
+    r.quant = quantModeName(field.quantMode());
+    for (int round = 0; round < 5; ++round) {
+        time(256, false, r.eval256);
+        time(2048, false, r.eval2048);
+        time(256, true, r.density256);
+        time(kGateProbes, true, r.densityGate);
+    }
+    return r;
+}
+
+void
+printServe(const std::vector<ServeResult> &results)
+{
+    bench::banner((std::string("Serve fields [dispatch=") + simd::dispatchName() +
+                   "]: samples/s through ServeableField (fresh workspace per call)")
+                      .c_str());
+    std::printf("%-10s %-5s %14s %14s %7s %14s %14s %7s\n", "backend", "quant",
+                "eval@256", "eval@2048", "ratio", "density@256", "density@gate",
+                "ratio");
+    for (const ServeResult &r : results)
+        std::printf("%-10s %-5s %14.0f %14.0f %6.2fx %14.0f %14.0f %6.2fx\n",
+                    r.backend.c_str(), r.quant.c_str(), r.eval256, r.eval2048,
+                    r.eval2048 / r.eval256, r.density256, r.densityGate,
+                    r.densityGate / r.density256);
+    bench::rule();
+}
+
 } // namespace
 
 int
@@ -430,6 +515,31 @@ main(int argc, char **argv)
         bench::rule();
     }
 
+    // Serve fields on the hardware dispatch; the hash grid in every
+    // selected weight format.
+    std::vector<ServeResult> serve;
+    if (backend == "all" || backend == "nerf") {
+        for (const QuantMode qm : quants) {
+            auto model = std::make_unique<nerf::NerfModel>(
+                bench::defaultPipeline().model, 2024);
+            if (qm != QuantMode::fp32)
+                model->setInferenceQuant(qm);
+            serve.push_back(
+                measureServe(nerf::HashGridServeField(std::move(model)), budget));
+        }
+    }
+    if (backend == "all" || backend == "freq")
+        serve.push_back(measureServe(
+            nerf::FreqServeField(std::make_unique<nerf::FreqNerfModel>(
+                nerf::FreqNerfConfig{}, 2024)),
+            budget));
+    if (backend == "all" || backend == "tensorf")
+        serve.push_back(measureServe(
+            nerf::TensorfServeField(std::make_unique<nerf::TensorfModel>(
+                nerf::TensorfModelConfig{}, 2024)),
+            budget));
+    printServe(serve);
+
     E2eResult e2e;
     if (backend == "all" || backend == "nerf")
         e2e = measureE2e(budget);
@@ -467,6 +577,19 @@ main(int argc, char **argv)
     }
     if (!simd_speedups.empty())
         json += "]";
+    json += ",\"serve\":[";
+    for (std::size_t i = 0; i < serve.size(); ++i) {
+        const ServeResult &r = serve[i];
+        std::snprintf(buf, sizeof(buf),
+                      "%s{\"backend\":\"%s\",\"quant\":\"%s\","
+                      "\"eval_256_sps\":%.0f,\"eval_2048_sps\":%.0f,"
+                      "\"density_256_sps\":%.0f,\"density_gate_sps\":%.0f,"
+                      "\"gate_probes\":%zu}",
+                      i ? "," : "", r.backend.c_str(), r.quant.c_str(), r.eval256,
+                      r.eval2048, r.density256, r.densityGate, kGateProbes);
+        json += buf;
+    }
+    json += "]";
     if (e2e.ran) {
         std::snprintf(buf, sizeof(buf),
                       ",\"e2e\":{\"ungated_sps\":%.0f,\"gated_sps\":%.0f,"
@@ -506,6 +629,24 @@ main(int argc, char **argv)
                     failed = true;
                 }
             }
+        }
+    }
+    for (const ServeResult &r : serve) {
+        if (r.eval2048 < kServeFallFloor * r.eval256) {
+            std::fprintf(stderr,
+                         "FAIL: [%s %s] serve evalBatch at batch 2048 is %.3fx "
+                         "its batch-256 rate (gate %.1fx)\n",
+                         r.backend.c_str(), r.quant.c_str(), r.eval2048 / r.eval256,
+                         kServeFallFloor);
+            failed = true;
+        }
+        if (r.densityGate < kServeFallFloor * r.density256) {
+            std::fprintf(stderr,
+                         "FAIL: [%s %s] serve evalDensityBatch at the %zu-probe "
+                         "gate is %.3fx its batch-256 rate (gate %.1fx)\n",
+                         r.backend.c_str(), r.quant.c_str(), kGateProbes,
+                         r.densityGate / r.density256, kServeFallFloor);
+            failed = true;
         }
     }
     if (e2e.ran) {

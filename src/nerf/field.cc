@@ -1,5 +1,6 @@
 #include "nerf/field.h"
 
+#include "common/logging.h"
 #include "nerf/nerf_model.h"
 
 namespace fusion3d::nerf
@@ -17,6 +18,15 @@ backendKindName(BackendKind kind)
         return "tensorf";
     }
     return "unknown";
+}
+
+void
+requireEvalSpans(const char *who, std::size_t n,
+                 std::initializer_list<std::size_t> sizes)
+{
+    for (const std::size_t size : sizes)
+        if (size < n)
+            panic("%s: span of %zu samples, batch of %zu", who, size, n);
 }
 
 HashGridServeField::HashGridServeField(std::unique_ptr<NerfModel> model)
@@ -39,16 +49,27 @@ HashGridServeField::evalBatch(std::span<const Vec3f> positions,
                               std::span<const Vec3f> dirs, std::span<float> sigmas,
                               std::span<Vec3f> rgbs) const
 {
+    const std::size_t n = positions.size();
+    requireEvalSpans("HashGridServeField::evalBatch", n,
+                     {dirs.size(), sigmas.size(), rgbs.size()});
     NerfBatchWorkspace ws = model().makeBatchWorkspace();
-    model().forwardBatch(positions, dirs, ws, sigmas, rgbs);
+    forEachChunk(n, [&](std::size_t b, std::size_t e) {
+        model().forwardBatch(positions.subspan(b, e - b), dirs.subspan(b, e - b), ws,
+                             sigmas.subspan(b, e - b), rgbs.subspan(b, e - b));
+    });
 }
 
 void
 HashGridServeField::evalDensityBatch(std::span<const Vec3f> positions,
                                      std::span<float> sigmas) const
 {
+    const std::size_t n = positions.size();
+    requireEvalSpans("HashGridServeField::evalDensityBatch", n, {sigmas.size()});
     NerfBatchWorkspace ws = model().makeBatchWorkspace();
-    model().queryDensityBatch(positions, ws, sigmas);
+    forEachChunk(n, [&](std::size_t b, std::size_t e) {
+        model().queryDensityBatch(positions.subspan(b, e - b), ws,
+                                  sigmas.subspan(b, e - b));
+    });
 }
 
 std::size_t

@@ -10,9 +10,12 @@
  *
  * The contract is intentionally tiny: a backend tag, the parameter
  * count (memory accounting), and two *const, thread-safe* batched
- * evaluation entry points. Each call allocates its own scratch, which
- * matches the existing cost model — the tiled renderer already built a
- * fresh batch workspace per row-tile rect.
+ * evaluation entry points. Each call builds one call-local workspace
+ * sized min(n, kShardGrain) and walks its batch through it in
+ * kShardGrain chunks (forEachChunk), so the scratch of a 48^3 gate
+ * rebuild is that of a 256-sample batch and concurrent callers share
+ * nothing. The batched forward is batch-size invariant per sample, so
+ * chunking changes no output bit.
  */
 
 #ifndef FUSION3D_NERF_FIELD_H_
@@ -20,11 +23,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 
 #include "common/quant.h"
 #include "common/vec.h"
+#include "nerf/shard_partition.h"
 
 namespace fusion3d::nerf
 {
@@ -42,6 +47,11 @@ enum class BackendKind : std::uint32_t
 /** Stable lowercase name of a backend kind (logs, JSON, bench output). */
 const char *backendKindName(BackendKind kind);
 
+/** Panic unless every span size in @p sizes covers the @p n positions
+ *  of a serve-field evaluation (the chunks take subspans of them). */
+void requireEvalSpans(const char *who, std::size_t n,
+                      std::initializer_list<std::size_t> sizes);
+
 /** A read-only radiance field any backend can expose for serving. */
 class ServeableField
 {
@@ -54,9 +64,11 @@ class ServeableField
     virtual std::size_t paramCount() const = 0;
 
     /**
-     * Batched density+color evaluation. Thread-safe: the call uses only
-     * call-local scratch, so any number of render tiles may evaluate
-     * the same field concurrently. Per sample the arithmetic is
+     * Batched density+color evaluation. Thread-safe: the call runs the
+     * batch in kShardGrain chunks through one call-local workspace of
+     * min(n, kShardGrain) samples, so any number of render tiles may
+     * evaluate the same field concurrently and a large batch costs no
+     * more scratch than a 256-sample one. Per sample the arithmetic is
      * bit-exact with the backend's scalar forward path.
      *
      * @param positions Sample positions in [0,1]^3.
@@ -69,10 +81,11 @@ class ServeableField
                            std::span<Vec3f> rgbs) const = 0;
 
     /**
-     * Batched density-only evaluation (occupancy-gate rebuilds).
-     * Thread-safe and bit-exact per sample with the scalar density
-     * query, so a gate rebuilt through this path equals the gate the
-     * training pipeline maintained.
+     * Batched density-only evaluation (occupancy-gate rebuilds), in the
+     * same call-local kShardGrain chunks as evalBatch. Thread-safe and
+     * bit-exact per sample with the scalar density query, so a gate
+     * rebuilt through this path equals the gate the training pipeline
+     * maintained.
      */
     virtual void evalDensityBatch(std::span<const Vec3f> positions,
                                   std::span<float> sigmas) const = 0;
@@ -159,16 +172,28 @@ class PointServeField : public ServeableField
     evalBatch(std::span<const Vec3f> positions, std::span<const Vec3f> dirs,
               std::span<float> sigmas, std::span<Vec3f> rgbs) const override
     {
+        requireEvalSpans("PointServeField::evalBatch", positions.size(),
+                         {dirs.size(), sigmas.size(), rgbs.size()});
         typename ModelT::BatchWorkspace ws = model().makeBatchWorkspace();
-        model().forwardPointBatch(positions, dirs, ws, sigmas, rgbs);
+        forEachChunk(positions.size(), [&](std::size_t b, std::size_t e) {
+            model().forwardPointBatch(positions.subspan(b, e - b),
+                                      dirs.subspan(b, e - b), ws,
+                                      sigmas.subspan(b, e - b),
+                                      rgbs.subspan(b, e - b));
+        });
     }
 
     void
     evalDensityBatch(std::span<const Vec3f> positions,
                      std::span<float> sigmas) const override
     {
+        requireEvalSpans("PointServeField::evalDensityBatch", positions.size(),
+                         {sigmas.size()});
         typename ModelT::BatchWorkspace ws = model().makeBatchWorkspace();
-        model().queryDensityBatch(positions, ws, sigmas);
+        forEachChunk(positions.size(), [&](std::size_t b, std::size_t e) {
+            model().queryDensityBatch(positions.subspan(b, e - b), ws,
+                                      sigmas.subspan(b, e - b));
+        });
     }
 
     const ModelT &

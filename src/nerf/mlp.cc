@@ -59,7 +59,8 @@ Mlp::paramCountFor(std::span<const int> layer_sizes)
 namespace
 {
 
-/** Grow @p ws to hold @p n samples; never shrinks. */
+/** Grow the forward buffers of @p ws to hold @p n samples; never
+ *  shrinks. The backward scratch grows in backwardBatchInto. */
 void
 growBatchWorkspace(const std::vector<int> &sizes, MlpBatchWorkspace &ws, std::size_t n)
 {
@@ -73,10 +74,6 @@ growBatchWorkspace(const std::vector<int> &sizes, MlpBatchWorkspace &ws, std::si
         ws.activations[i].resize(static_cast<std::size_t>(sizes[i]) * cap);
     for (std::size_t l = 0; l < layers; ++l)
         ws.preacts[l].resize(static_cast<std::size_t>(sizes[l + 1]) * cap);
-    ws.dinput.resize(static_cast<std::size_t>(sizes.front()) * cap);
-    const int widest = *std::max_element(sizes.begin(), sizes.end());
-    ws.delta_a.resize(static_cast<std::size_t>(widest) * cap);
-    ws.delta_b.resize(static_cast<std::size_t>(widest) * cap);
     ws.capacity = cap;
 }
 
@@ -187,6 +184,21 @@ Mlp::backwardBatchInto(std::span<const float> dout, std::size_t n,
         panic("Mlp::backwardBatchInto gradient vector mismatch (%zu != %zu)",
               grads.size(), param_count_);
 
+    // The backward scratch (deltas, dinput and the kernels' transposes)
+    // is sized here rather than in growBatchWorkspace, so inference-only
+    // workspaces never allocate it; it only grows.
+    const int widest = *std::max_element(sizes_.begin(), sizes_.end());
+    if (ws.delta_a.size() < static_cast<std::size_t>(widest) * n) {
+        ws.delta_a.resize(static_cast<std::size_t>(widest) * n);
+        ws.delta_b.resize(static_cast<std::size_t>(widest) * n);
+        ws.dinput.resize(static_cast<std::size_t>(inputDim()) * n);
+    }
+    const std::size_t scratch = simd::lanePad(widest) * n;
+    if (ws.xt.size() < scratch) {
+        ws.xt.resize(scratch);
+        ws.dt.resize(scratch);
+    }
+
     float *delta = ws.delta_a.data();
     float *next_delta = ws.delta_b.data();
     std::copy_n(dout.begin(), static_cast<std::size_t>(outputDim()) * n, delta);
@@ -195,15 +207,6 @@ Mlp::backwardBatchInto(std::span<const float> dout, std::size_t n,
     // loop's per-element accumulation order (simd::Kernels), so the
     // gradients are bit-identical whichever runs.
     const simd::Kernels &kern = simd::kernels();
-    // The kernels' transpose scratch is sized here rather than in
-    // growBatchWorkspace, so inference-only workspaces (often built per
-    // call) never allocate it; it only grows.
-    const std::size_t scratch =
-        simd::lanePad(*std::max_element(sizes_.begin(), sizes_.end())) * n;
-    if (ws.xt.size() < scratch) {
-        ws.xt.resize(scratch);
-        ws.dt.resize(scratch);
-    }
 
     for (int l = layerCount() - 1; l >= 0; --l) {
         const int fan_in = sizes_[l];

@@ -50,9 +50,11 @@ struct MlpBatchWorkspace
     std::vector<std::vector<float>> activations;
     /** Pre-activations (z) per non-input layer, feature-major. */
     std::vector<std::vector<float>> preacts;
-    /** dL/d(input), feature-major [inputDim][N]; filled by backwardBatchInto(). */
+    /** dL/d(input), feature-major [inputDim][N]; sized and filled by
+     *  backwardBatchInto(), empty on inference-only workspaces. */
     std::vector<float> dinput;
-    /** Scratch delta matrices, [widest][N]. */
+    /** Scratch delta matrices, [widest][N]; sized by the first
+     *  backward, empty on inference-only workspaces. */
     std::vector<float> delta_a;
     std::vector<float> delta_b;
     /** Sample-major [N][lanePad(widest)] transposes of a layer's input

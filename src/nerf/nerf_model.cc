@@ -162,10 +162,6 @@ NerfModel::makeBatchWorkspace(std::size_t capacity) const
         ws.colorIn.resize(
             static_cast<std::size_t>(cfg_.geoFeatures + cfg_.shDims()) * capacity);
         ws.rawSigma.resize(capacity);
-        ws.dDensityOut.resize(static_cast<std::size_t>(1 + cfg_.geoFeatures) * capacity);
-        ws.dColorOut.resize(3 * capacity);
-        ws.fwdSigmas.resize(capacity);
-        ws.fwdRgbs.resize(capacity);
         ws.capacity = capacity;
     }
     return ws;
@@ -191,10 +187,6 @@ NerfModel::forwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
         ws.encoding.resize(static_cast<std::size_t>(cfg_.grid.encodedDims()) * n);
         ws.colorIn.resize(static_cast<std::size_t>(cfg_.geoFeatures + cfg_.shDims()) * n);
         ws.rawSigma.resize(n);
-        ws.dDensityOut.resize(static_cast<std::size_t>(1 + cfg_.geoFeatures) * n);
-        ws.dColorOut.resize(3 * n);
-        ws.fwdSigmas.resize(n);
-        ws.fwdRgbs.resize(n);
         ws.capacity = n;
     }
     ws.sh.resize(static_cast<std::size_t>(cfg_.shDims()));
@@ -282,11 +274,16 @@ NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs
     arena.densityGrads.assign(density_net_->paramCount(), 0.0f);
     arena.colorGrads.assign(color_net_->paramCount(), 0.0f);
 
-    // Recompute the shard's forward (recompute-in-backward).
-    if (ws.fwdSigmas.size() < n)
+    // Recompute the shard's forward (recompute-in-backward). The
+    // backward-only buffers grow here, never in forwardBatch, so
+    // inference workspaces carry none of them.
+    const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
+    if (ws.fwdSigmas.size() < n) {
         ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
         ws.fwdRgbs.resize(n);
+        ws.dDensityOut.resize((1 + geo) * n);
+        ws.dColorOut.resize(3 * n);
+    }
     forwardBatch(pos, dirs, ws, {ws.fwdSigmas.data(), n}, {ws.fwdRgbs.data(), n});
 
     for (std::size_t j = 0; j < n; ++j) {
@@ -302,7 +299,6 @@ NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs
     for (std::size_t j = 0; j < n; ++j)
         ws.dDensityOut[j] =
             dsigmas[j] * densityActivationGrad(ws.rawSigma[j], ws.fwdSigmas[j]);
-    const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
     std::copy_n(ws.colorWs.dinput.begin(), geo * n, ws.dDensityOut.begin() + n);
     density_net_->backwardBatchInto({ws.dDensityOut.data(), (1 + geo) * n}, n,
                                     ws.densityWs, arena.densityGrads);

@@ -70,7 +70,10 @@ struct PointWorkspace
 /**
  * Scratch buffers for batched evaluation; reuse across calls. All
  * matrices are feature-major ([dim][N], sample index fastest) to match
- * MlpBatchWorkspace; buffers grow on demand and never shrink.
+ * MlpBatchWorkspace; buffers grow on demand and never shrink. The
+ * backward-only buffers (dDensityOut, dColorOut, fwdSigmas, fwdRgbs)
+ * grow in the backward alone, so a forward-only (serve) workspace
+ * leaves them empty.
  */
 struct NerfBatchWorkspace
 {
@@ -91,7 +94,7 @@ struct NerfBatchWorkspace
     std::vector<Vec3f> fwdRgbs;
     MlpBatchWorkspace densityWs;
     MlpBatchWorkspace colorWs;
-    /** Allocated batch capacity (samples). */
+    /** Allocated forward batch capacity (samples). */
     std::size_t capacity = 0;
 };
 

@@ -21,13 +21,13 @@ constexpr std::uint64_t kRowStream = 0x9e3779b97f4a7c15ULL;
  * samples every pixel's ray into a flat SampleBatch (jitter stays
  * per-row, so tiling cannot change the streams), one
  * ServeableField::evalBatch evaluates the flattened samples through the
- * backend's batched kernels, and each ray composites over its CSR
- * range. Per sample the batched arithmetic matches the scalar path bit
- * for bit, so the output is still bit-identical across tilings and
- * thread counts, and to the scalar reference. (A rect with x0 > 0
- * starts its per-row jitter stream at a different offset than a
- * full-width render — only jitterless renders are sub-rect-invariant,
- * which is the inference default.)
+ * backend's batched kernels (in 256-sample chunks), and each ray
+ * composites over its CSR range. Per sample the batched arithmetic
+ * matches the scalar path bit for bit, so the output is still
+ * bit-identical across tilings and thread counts, and to the scalar
+ * reference. (A rect with x0 > 0 starts its per-row jitter stream at a
+ * different offset than a full-width render — only jitterless renders
+ * are sub-rect-invariant, which is the inference default.)
  */
 void
 renderRect(const ServeableField &field, const OccupancyGrid *grid,

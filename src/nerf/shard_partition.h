@@ -7,6 +7,10 @@
  * gradient buffers, and the fixed order they merge in, are the same
  * with no pool, a zero-worker pool, or any number of workers. A null
  * pool runs the same shards inline, in shard order.
+ *
+ * The serve fields walk their batches in kShardGrain chunks
+ * (forEachChunk) through one call-local workspace, so a batch of any
+ * size keeps a 256-sample working set.
  */
 
 #ifndef FUSION3D_NERF_SHARD_PARTITION_H_
@@ -66,6 +70,20 @@ forEachShard(std::size_t n, ThreadPool *pool, Body &&body)
         for (std::size_t s = 0; s < shards; ++s)
             run(s);
     }
+}
+
+/**
+ * Call body(begin, end) for consecutive chunks [begin, end) of at most
+ * kShardGrain samples covering a batch of @p n samples, in order, on
+ * the calling thread. A body that reuses one workspace across chunks
+ * keeps its working set at kShardGrain samples however large the batch.
+ */
+template <class Body>
+void
+forEachChunk(std::size_t n, Body &&body)
+{
+    for (std::size_t begin = 0; begin < n; begin += kShardGrain)
+        body(begin, std::min(n, begin + kShardGrain));
 }
 
 } // namespace fusion3d::nerf

@@ -169,12 +169,15 @@ ModelRegistry::addInternal(const std::string &name,
     // the scalar grid.update consumed), then one backend-polymorphic
     // density batch evaluates them: per probe bit-exact with the
     // backend's scalar density query.
-    Pcg32 rng(0x5eedf00dULL, 41);
-    std::vector<Vec3f> probes;
-    entry->grid.collectProbePositions(rng, probes);
-    std::vector<float> densities(probes.size());
-    entry->model->evalDensityBatch(probes, densities);
-    entry->grid.applyDensities(densities, /*decay=*/0.0f);
+    {
+        F3D_TRACE_SPAN("serve", "registry_gate");
+        Pcg32 rng(0x5eedf00dULL, 41);
+        std::vector<Vec3f> probes;
+        entry->grid.collectProbePositions(rng, probes);
+        std::vector<float> densities(probes.size());
+        entry->model->evalDensityBatch(probes, densities);
+        entry->grid.applyDensities(densities, /*decay=*/0.0f);
+    }
     entry->sourcePath = source_path;
     entry->bytes = sizeof(ModelEntry) + name.size() + source_path.size() +
                    entry->model->residentBytes() +
@@ -287,6 +290,7 @@ ModelRegistry::addFromFile(const std::string &name, const std::string &path)
             r.status = nerf::LoadStatus::ioError;
             r.message = "injected fault (serve.load.io)";
         } else {
+            F3D_TRACE_SPAN("serve", "registry_decode");
             r = nerf::loadFieldVerbose(path);
         }
         if (r)

@@ -1,14 +1,18 @@
 /** @file Equivalence tests of the batched SoA evaluation core against
  *  the scalar reference oracle (forwardPoint/backwardPoint) for all
- *  three backends (hash-grid, FreqNeRF, TensoRF), plus the
+ *  three backends (hash-grid, FreqNeRF, TensoRF), the chunked
+ *  ServeableField entry points against the same oracles, plus the
  *  nerf.batch.* metrics. */
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "nerf/field.h"
 #include "nerf/freq_nerf.h"
 #include "nerf/nerf_model.h"
 #include "nerf/tensorf.h"
@@ -453,6 +457,128 @@ TEST(BatchEval, TensorfBackwardBatchMatchesFiniteDifference)
         ++checked;
     }
     EXPECT_GT(checked, 5);
+}
+
+// ---------------------------------------------------------------------------
+// Serve fields: evalBatch / evalDensityBatch walk the batch in
+// kShardGrain chunks through one call-local workspace. The sizes cover
+// the empty batch, one sample, both sides of one chunk, a partial last
+// chunk, and a 12^3 gate.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kServeBatches[] = {0, 1, 255, 256, 257, 1000, 12 * 12 * 12};
+
+/** Run @p field's two batched entry points over a batch of @p n and
+ *  compare each sample bit for bit with @p point (forward) and
+ *  @p density (density query) of the same position. */
+template <class PointFn, class DensityFn>
+void
+expectServeFieldMatches(const ServeableField &field, std::size_t n,
+                        std::uint64_t seed, PointFn &&point, DensityFn &&density)
+{
+    std::vector<Vec3f> pos, dirs;
+    randomBatch(n, seed, pos, dirs);
+    std::vector<float> sigmas(n), densities(n);
+    std::vector<Vec3f> rgbs(n);
+    field.evalBatch(pos, dirs, sigmas, rgbs);
+    field.evalDensityBatch(pos, densities);
+    for (std::size_t j = 0; j < n; ++j) {
+        const PointEval ref = point(pos[j], dirs[j]);
+        ASSERT_EQ(sigmas[j], ref.sigma) << "batch " << n << " sample " << j;
+        ASSERT_EQ(rgbs[j], ref.rgb) << "batch " << n << " sample " << j;
+        ASSERT_EQ(densities[j], density(pos[j])) << "batch " << n << " sample " << j;
+    }
+}
+
+TEST(BatchEval, HashGridServeFieldMatchesScalarAtEveryBatchSize)
+{
+    const NerfModel model(tinyModel(), 301);
+    const HashGridServeField field(model);
+    PointWorkspace pws = model.makeWorkspace();
+    for (const std::size_t n : kServeBatches)
+        expectServeFieldMatches(
+            field, n, 302 + n,
+            [&](const Vec3f &p, const Vec3f &d) { return model.forwardPoint(p, d, pws); },
+            [&](const Vec3f &p) { return model.queryDensity(p, pws); });
+}
+
+TEST(BatchEval, PointServeFieldsMatchScalarAtEveryBatchSize)
+{
+    FreqNerfModel freq(tinyFreqConfig(), 311);
+    const FreqServeField freq_field(freq);
+    TensorfModel tensorf(tinyTensorfConfig(), 312);
+    const TensorfServeField tensorf_field(tensorf);
+    for (const std::size_t n : kServeBatches) {
+        expectServeFieldMatches(
+            freq_field, n, 313 + n,
+            [&](const Vec3f &p, const Vec3f &d) { return freq.forwardPoint(p, d); },
+            [&](const Vec3f &p) { return freq.queryDensity(p); });
+        expectServeFieldMatches(
+            tensorf_field, n, 314 + n,
+            [&](const Vec3f &p, const Vec3f &d) { return tensorf.forwardPoint(p, d); },
+            [&](const Vec3f &p) { return tensorf.queryDensity(p); });
+    }
+}
+
+/** A quantized hash-grid field equals the scalar path of an fp32 model
+ *  whose masters hold the dequantized weights, at every batch size. */
+TEST(BatchEval, QuantizedServeFieldMatchesDequantizedOracle)
+{
+    for (const QuantMode mode : {QuantMode::fp16, QuantMode::int8}) {
+        auto quant = std::make_unique<NerfModel>(tinyModel(), 321);
+        quant->setInferenceQuant(mode, /*dropFp32=*/false);
+        NerfModel oracle(tinyModel(), 321);
+        const std::vector<float> enc_w = quant->encoding().dequantizedParams();
+        const std::vector<float> den_w = quant->densityNet().dequantizedParams();
+        const std::vector<float> col_w = quant->colorNet().dequantizedParams();
+        std::copy(enc_w.begin(), enc_w.end(), oracle.encoding().params().begin());
+        std::copy(den_w.begin(), den_w.end(), oracle.densityNet().params().begin());
+        std::copy(col_w.begin(), col_w.end(), oracle.colorNet().params().begin());
+
+        const HashGridServeField field(std::move(quant));
+        ASSERT_EQ(field.quantMode(), mode);
+        PointWorkspace pws = oracle.makeWorkspace();
+        for (const std::size_t n : kServeBatches)
+            expectServeFieldMatches(
+                field, n, 322 + n,
+                [&](const Vec3f &p, const Vec3f &d) {
+                    return oracle.forwardPoint(p, d, pws);
+                },
+                [&](const Vec3f &p) { return oracle.queryDensity(p, pws); });
+    }
+}
+
+/** A forward-only workspace carries no backward scratch; the first
+ *  backward sizes it. */
+TEST(BatchEval, ForwardOnlyWorkspaceHoldsNoBackwardScratch)
+{
+    NerfModel model(tinyModel(), 331);
+    NerfBatchWorkspace ws = model.makeBatchWorkspace(256);
+    std::vector<Vec3f> pos, dirs;
+    randomBatch(256, 332, pos, dirs);
+    std::vector<float> sigmas(256);
+    std::vector<Vec3f> rgbs(256);
+    model.forwardBatch(pos, dirs, ws, sigmas, rgbs);
+    EXPECT_TRUE(ws.dDensityOut.empty());
+    EXPECT_TRUE(ws.dColorOut.empty());
+    EXPECT_TRUE(ws.fwdSigmas.empty());
+    EXPECT_TRUE(ws.fwdRgbs.empty());
+    for (const MlpBatchWorkspace *mws : {&ws.densityWs, &ws.colorWs}) {
+        EXPECT_TRUE(mws->dinput.empty());
+        EXPECT_TRUE(mws->delta_a.empty());
+        EXPECT_TRUE(mws->delta_b.empty());
+    }
+
+    NerfParallelWorkspace pws;
+    std::vector<float> dsigmas;
+    std::vector<Vec3f> drgbs;
+    randomAdjoints(256, 333, dsigmas, drgbs);
+    model.zeroGrads();
+    model.backwardBatchParallel(pos, dirs, dsigmas, drgbs, pws, nullptr);
+    const NerfBatchWorkspace &bws = pws.shards[0].ws;
+    EXPECT_EQ(bws.dColorOut.size(), 3u * 256u);
+    EXPECT_EQ(bws.densityWs.dinput.size(),
+              static_cast<std::size_t>(tinyModel().grid.encodedDims()) * 256u);
 }
 
 } // namespace

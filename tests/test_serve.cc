@@ -1,6 +1,7 @@
 /** @file Tests of the serving subsystem: bit-exact parallel tiled
  *  rendering (against both the single-threaded tiled path and the
- *  existing Trainer::renderView), the model registry, admission
+ *  existing Trainer::renderView), concurrent chunked field evaluation,
+ *  the model registry and its gate, admission
  *  control, deadline shedding, and the drain/stats contract. Expected
  *  to pass under -DFUSION3D_SANITIZE=thread. */
 
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nerf/parallel_render.h"
 #include "nerf/pipeline.h"
@@ -142,6 +144,76 @@ TEST(ModelRegistry, DeploysFromArtifactFile)
     EXPECT_EQ(registry.addFromFile("broken", testing::TempDir() + "nope.f3dm"),
               nerf::LoadStatus::ioError);
     EXPECT_EQ(registry.size(), 1u);
+}
+
+/** The gate ModelRegistry::add builds — one chunked density batch over
+ *  every probe — equals the scalar grid update with the registry's
+ *  probe stream and decay 0. Threshold 1.0 leaves the untrained field's
+ *  gate with both occupied and empty cells, so the comparison bites. */
+TEST(ModelRegistry, GateMatchesScalarGridUpdate)
+{
+    RegistryConfig rc;
+    rc.occupancyResolution = 12; // 1728 probes: several 256-sample chunks
+    rc.occupancyThreshold = 1.0f;
+    ModelRegistry registry(rc);
+    auto owned = std::make_unique<nerf::NerfModel>(tinyModelConfig(), 21);
+    const nerf::NerfModel &model = *owned; // the registry keeps it alive
+    registry.add("m", std::move(owned));
+
+    nerf::OccupancyGrid want(rc.occupancyResolution, rc.occupancyThreshold);
+    nerf::PointWorkspace pws = model.makeWorkspace();
+    Pcg32 rng(0x5eedf00dULL, 41);
+    want.update([&](const Vec3f &p) { return model.queryDensity(p, pws); }, rng,
+                /*decay=*/0.0f);
+
+    const nerf::OccupancyGrid &got = registry.find("m")->grid;
+    ASSERT_EQ(got.cellCount(), want.cellCount());
+    for (std::size_t c = 0; c < want.cellCount(); ++c)
+        ASSERT_EQ(got.occupiedCell(c), want.occupiedCell(c)) << "cell " << c;
+    EXPECT_GT(want.occupiedFraction(), 0.0);
+    EXPECT_LT(want.occupiedFraction(), 1.0);
+}
+
+/** Pool threads evaluating one shared field with multi-chunk batches
+ *  share no scratch (each call's workspace is its own) and match a
+ *  single-threaded evaluation bit for bit. Run under TSan in CI. */
+TEST(ServeableField, ConcurrentChunkedEvalBatchOnOneField)
+{
+    const nerf::HashGridServeField field(
+        std::make_unique<nerf::NerfModel>(tinyModelConfig(), 23));
+    constexpr int kCalls = 8;
+    const auto batchSize = [](int c) { return std::size_t{300} + 97 * c; };
+    std::vector<std::vector<Vec3f>> pos(kCalls), dirs(kCalls);
+    for (int c = 0; c < kCalls; ++c) {
+        Pcg32 rng(24, c);
+        for (std::size_t j = 0; j < batchSize(c); ++j) {
+            pos[c].push_back(clamp(rng.nextVec3(), 0.01f, 0.99f));
+            dirs[c].push_back(rng.nextUnitVector());
+        }
+    }
+
+    std::vector<std::vector<float>> sigmas(kCalls), densities(kCalls);
+    std::vector<std::vector<Vec3f>> rgbs(kCalls);
+    ThreadPool pool(3);
+    pool.parallelFor(0, kCalls, [&](int b, int e) {
+        for (int c = b; c < e; ++c) {
+            sigmas[c].resize(batchSize(c));
+            rgbs[c].resize(batchSize(c));
+            densities[c].resize(batchSize(c));
+            field.evalBatch(pos[c], dirs[c], sigmas[c], rgbs[c]);
+            field.evalDensityBatch(pos[c], densities[c]);
+        }
+    });
+
+    for (int c = 0; c < kCalls; ++c) {
+        std::vector<float> want_sigmas(batchSize(c)), want_densities(batchSize(c));
+        std::vector<Vec3f> want_rgbs(batchSize(c));
+        field.evalBatch(pos[c], dirs[c], want_sigmas, want_rgbs);
+        field.evalDensityBatch(pos[c], want_densities);
+        EXPECT_EQ(sigmas[c], want_sigmas) << "call " << c;
+        EXPECT_EQ(rgbs[c], want_rgbs) << "call " << c;
+        EXPECT_EQ(densities[c], want_densities) << "call " << c;
+    }
 }
 
 TEST(RenderServer, ServesFullResolutionBitExact)
