@@ -14,40 +14,24 @@
 #include "bench/bench_util.h"
 #include "chip/chip.h"
 #include "nerf/image_warp.h"
-#include "nerf/renderer.h"
+#include "nerf/parallel_render.h"
 
 using namespace fusion3d;
 
 namespace
 {
 
-/** Render a frame and its depth map with the functional pipeline. */
+/** Render a frame and its composited depth map through the tiled
+ *  inference path (jitter off). */
 nerf::DepthFrame
-renderDepthFrame(nerf::NerfPipeline &pipe, const nerf::Camera &cam, Pcg32 &rng)
+renderDepthFrame(const nerf::NerfPipeline &pipe, const nerf::Camera &cam)
 {
-    nerf::DepthFrame frame;
-    frame.camera = cam;
-    frame.color = Image(cam.width(), cam.height());
-    frame.depth.assign(static_cast<std::size_t>(cam.width()) * cam.height(), 0.0f);
-
-    std::vector<nerf::RaySample> samples;
-    std::vector<float> sigmas, dts, ts;
-    for (int y = 0; y < cam.height(); ++y) {
-        for (int x = 0; x < cam.width(); ++x) {
-            const Ray ray = cam.rayForPixel(x, y);
-            const nerf::RayEval ev = pipe.traceRay(ray, rng, /*record=*/true);
-            frame.color.at(x, y) = clamp(ev.color, 0.0f, 1.0f);
-            // Depth from the recorded tape.
-            // traceRay(record=true) leaves the tape in the pipeline but
-            // does not expose it; recompute from a second sampling pass
-            // kept simple: reuse firstHitT as a depth proxy blended with
-            // the far bound by the remaining transmittance.
-            const float t_hit = std::isfinite(ev.firstHitT) ? ev.firstHitT : 2.5f;
-            frame.depth[static_cast<std::size_t>(y) * cam.width() + x] =
-                t_hit * (1.0f - ev.transmittance) + 2.5f * ev.transmittance;
-        }
-    }
-    return frame;
+    nerf::TiledRenderConfig rc;
+    rc.sampler = pipe.config().sampler;
+    rc.sampler.jitter = false;
+    rc.render = pipe.config().render;
+    return nerf::renderDepthFrameTiled(nerf::HashGridServeField(pipe.model()),
+                                       &pipe.grid(), cam, rc);
 }
 
 } // namespace
@@ -60,13 +44,12 @@ main(int argc, char **argv)
 
     const auto scene = scenes::makeSyntheticScene("chair");
     auto pipe = bench::pipelineForScene(*scene);
-    Pcg32 rng(8, 8);
 
     const Vec3f center{0.5f, 0.45f, 0.5f};
     const nerf::Camera cam0 =
         nerf::Camera::orbit(center, 1.4f, 30.0f, 22.0f, 45.0f, size, size);
     const auto t_render = std::chrono::steady_clock::now();
-    const nerf::DepthFrame frame = renderDepthFrame(*pipe, cam0, rng);
+    const nerf::DepthFrame frame = renderDepthFrame(*pipe, cam0);
     const double render_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t_render)
@@ -100,7 +83,7 @@ main(int argc, char **argv)
         ++warp_overhead_n;
 
         // Quality of the warped pixels against a true render.
-        const nerf::DepthFrame truth = renderDepthFrame(*pipe, cam1, rng);
+        const nerf::DepthFrame truth = renderDepthFrame(*pipe, cam1);
         double err = 0.0;
         std::size_t n = 0;
         for (int y = 0; y < size; ++y) {

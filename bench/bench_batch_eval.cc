@@ -20,8 +20,9 @@
  * mode, and batched `sps`. Exits non-zero when a gate fails:
  *  - any fp32 batched path slower than scalar at batch 256;
  *  - SIMD-dispatch fp32 < 1.5x the forced-scalar-dispatch batched
- *    baseline at batch 256 on the hash-grid backend (skipped when the
- *    host has no SIMD dispatch to measure);
+ *    baseline at batch 256 on the hash-grid backend, the two arms
+ *    interleaved over five rounds with each arm's best round kept
+ *    (skipped when the host has no SIMD dispatch to measure);
  *  - end-to-end compaction not reducing MLP-visible samples, running
  *    slower than the ungated baseline, or diverging bit-wise from the
  *    gated path's composited colors;
@@ -42,6 +43,7 @@
  *             SIMD speedup gate has both sides.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -79,7 +81,6 @@ struct ConfigResult
     std::string quant;
     std::vector<EvalPoint> points;
     double speedup256 = 0.0;
-    double batchedSps256 = 0.0;
 };
 
 double
@@ -199,15 +200,60 @@ runConfig(const char *backend, const char *quant, std::size_t budget,
     for (const std::size_t batch : kBatches) {
         r.points.push_back(measure(batch, budget));
         const EvalPoint &p = r.points.back();
-        if (p.batch == 256) {
+        if (p.batch == 256)
             r.speedup256 = p.speedup;
-            r.batchedSps256 = p.batchedSps;
-        }
         std::printf("%-12zu %16.0f %16.0f %9.2fx\n", p.batch, p.scalarSps,
                     p.batchedSps, p.speedup);
     }
     bench::rule();
     return r;
+}
+
+// --- SIMD dispatch vs forced-scalar: the batch-256 speedup gate ------------
+
+/** Batch size of the SIMD speedup gate. */
+constexpr std::size_t kSimdGateBatch = 256;
+/** Rounds over which the two dispatch arms interleave. */
+constexpr int kSimdGateRounds = 5;
+
+struct SimdSpeedup
+{
+    std::string backend;
+    double speedup = 0.0;
+};
+
+/**
+ * Speedup of the hardware SIMD dispatch over the forced-scalar dispatch
+ * on one batched fp32 forward of kSimdGateBatch samples,
+ * eval(pos, dirs, sigmas, rgbs). The two arms alternate within each of
+ * kSimdGateRounds rounds and each keeps its best round, so a burst of
+ * host noise lands on one round of both arms rather than on one arm's
+ * whole measurement.
+ */
+template <class EvalFn>
+SimdSpeedup
+measureSimdSpeedup(const char *backend, std::size_t budget, EvalFn &&eval)
+{
+    std::vector<Vec3f> pos, dirs;
+    fillInputs(kSimdGateBatch, pos, dirs);
+    std::vector<float> sigmas(kSimdGateBatch);
+    std::vector<Vec3f> rgbs(kSimdGateBatch);
+    const std::size_t reps = std::max<std::size_t>(1, budget / kSimdGateBatch);
+
+    double best[2] = {0.0, 0.0}; // samples/s: [hardware, forced scalar]
+    for (int round = 0; round < kSimdGateRounds; ++round) {
+        for (const bool force : {false, true}) {
+            simd::forceScalar(force);
+            const auto t0 = std::chrono::steady_clock::now();
+            for (std::size_t rep = 0; rep < reps; ++rep)
+                eval(pos, dirs, sigmas, rgbs);
+            best[force] = std::max(best[force],
+                                   static_cast<double>(reps * kSimdGateBatch) /
+                                       secondsSince(t0));
+        }
+    }
+    simd::forceScalar(false);
+    return {backend, best[0] / best[1]};
 }
 
 // --- End-to-end traceRays: the occupancy-compaction section ----------------
@@ -488,27 +534,36 @@ main(int argc, char **argv)
     simd::forceScalar(false);
 
     // SIMD-vs-scalar speedup of the batched fp32 path at batch 256, per
-    // backend, when both dispatch arms were measured.
+    // backend, when both dispatch arms are selected: its own interleaved
+    // measurement, not a ratio of the two sweeps above.
     const bool both_arms = force_arms.size() > 1;
     const bool simd_available =
         std::strcmp(simd::dispatchName(), "scalar") != 0;
-    struct SimdSpeedup
-    {
-        std::string backend;
-        double speedup = 0.0;
-    };
     std::vector<SimdSpeedup> simd_speedups;
-    if (both_arms && simd_available) {
-        for (const ConfigResult &on : results) {
-            if (on.quant != "fp32" || on.dispatch == "scalar")
-                continue;
-            for (const ConfigResult &off : results) {
-                if (off.backend == on.backend && off.quant == "fp32" &&
-                    off.dispatch == "scalar" && off.batchedSps256 > 0.0)
-                    simd_speedups.push_back(
-                        {on.backend, on.batchedSps256 / off.batchedSps256});
-            }
+    if (both_arms && simd_available &&
+        std::find(quants.begin(), quants.end(), QuantMode::fp32) != quants.end()) {
+        if (backend == "all" || backend == "nerf") {
+            const nerf::NerfModel model(bench::defaultPipeline().model, 2024);
+            nerf::NerfBatchWorkspace ws = model.makeBatchWorkspace(kSimdGateBatch);
+            simd_speedups.push_back(measureSimdSpeedup(
+                "hash_grid", budget,
+                [&](const auto &pos, const auto &dirs, auto &sigmas, auto &rgbs) {
+                    model.forwardBatch(pos, dirs, ws, sigmas, rgbs);
+                }));
         }
+        const auto point_model = [&](const char *name, const auto &model) {
+            auto ws = model.makeBatchWorkspace();
+            simd_speedups.push_back(measureSimdSpeedup(
+                name, budget,
+                [&](const auto &pos, const auto &dirs, auto &sigmas, auto &rgbs) {
+                    model.forwardPointBatch(pos, dirs, ws, sigmas, rgbs);
+                }));
+        };
+        if (backend == "all" || backend == "freq")
+            point_model("freq_nerf", nerf::FreqNerfModel(nerf::FreqNerfConfig{}, 2024));
+        if (backend == "all" || backend == "tensorf")
+            point_model("tensorf",
+                        nerf::TensorfModel(nerf::TensorfModelConfig{}, 2024));
         bench::banner("SIMD dispatch vs forced-scalar: batched fp32 at batch 256");
         for (const SimdSpeedup &s : simd_speedups)
             std::printf("%-12s %9.2fx\n", s.backend.c_str(), s.speedup);

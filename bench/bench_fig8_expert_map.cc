@@ -49,15 +49,18 @@ main(int argc, char **argv)
         std::vector<std::uint64_t> dominant(static_cast<std::size_t>(experts), 0);
         std::uint64_t content_pixels = 0;
         Pcg32 rng(14, 2);
+        std::vector<Ray> row(static_cast<std::size_t>(size));
+        std::vector<nerf::RayEval> evals(row.size());
         for (int y = 0; y < size; ++y) {
+            for (int x = 0; x < size; ++x)
+                row[static_cast<std::size_t>(x)] = cam.rayForPixel(x, y);
+            moe.traceRays(row, rng, /*record=*/false, evals);
             for (int x = 0; x < size; ++x) {
-                (void)moe.traceRay(cam.rayForPixel(x, y), rng, false);
                 int best = -1;
                 float best_opacity = 0.02f;
                 for (int k = 0; k < experts; ++k) {
-                    const nerf::RayEval &p =
-                        moe.lastPartials()[static_cast<std::size_t>(k)];
-                    const float opacity = 1.0f - p.transmittance;
+                    const float opacity =
+                        1.0f - moe.partial(k, static_cast<std::size_t>(x)).transmittance;
                     if (opacity > best_opacity) {
                         best_opacity = opacity;
                         best = k;

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "multichip/system.h"
@@ -63,13 +64,17 @@ main(int argc, char **argv)
                               {1, 1, 0.2f},    {1, 0.2f, 1},    {0.2f, 1, 1},
                               {1, 0.6f, 0.2f}, {0.7f, 0.7f, 0.7f}};
     Pcg32 rng(5, 9);
+    std::vector<Ray> row(static_cast<std::size_t>(cam.width()));
+    std::vector<nerf::RayEval> evals(row.size());
     for (int y = 0; y < cam.height(); ++y) {
+        for (int x = 0; x < cam.width(); ++x)
+            row[static_cast<std::size_t>(x)] = cam.rayForPixel(x, y);
+        moe.traceRays(row, rng, /*record=*/false, evals);
         for (int x = 0; x < cam.width(); ++x) {
-            (void)moe.traceRay(cam.rayForPixel(x, y), rng, false);
             int best = -1;
             float best_lum = 1e-4f;
             for (int k = 0; k < moe.numExperts(); ++k) {
-                const Vec3f c = moe.lastPartials()[static_cast<std::size_t>(k)].color;
+                const Vec3f c = moe.partial(k, static_cast<std::size_t>(x)).color;
                 const float lum = c.x + c.y + c.z;
                 if (lum > best_lum) {
                     best_lum = lum;

@@ -82,8 +82,6 @@ class MoeField : public RadianceField
             pc.seed = cfg.seed + static_cast<std::uint64_t>(k) * 101;
             experts_.push_back(std::make_unique<PipelineT>(pc));
         }
-        last_partials_.resize(static_cast<std::size_t>(cfg.numExperts));
-        fusion_weights_.assign(static_cast<std::size_t>(cfg.numExperts), 1.0f);
         expert_workloads_.resize(static_cast<std::size_t>(cfg.numExperts));
         applyRegionMasks();
     }
@@ -112,42 +110,34 @@ class MoeField : public RadianceField
     }
 
     /**
-     * Per-expert results of the last traceRay, in expert order. Used
-     * for the expert-specialization visualization (Fig. 8) and the
-     * chip-load accounting of the multi-chip simulator.
+     * Expert @p k's result for ray @p r of the last traceRays batch.
+     * Used for the expert-specialization visualization (Fig. 8).
      */
-    const std::vector<RayEval> &lastPartials() const { return last_partials_; }
-
-    /**
-     * Per-expert fusion weights of the last traceRay: the transmittance
-     * of all experts whose content the ray crossed earlier. The fused
-     * pixel is sum_k weight_k * partial_k, computed from per-expert
-     * scalars only — the I/O module never sees per-sample data.
-     */
-    const std::vector<float> &lastFusionWeights() const { return fusion_weights_; }
-
-    /** Scalar entry point; a batch of one through traceRays, so MoE
-     *  rays also ride the experts' batched SoA cores. */
-    RayEval
-    traceRay(const Ray &ray, Pcg32 &rng, bool record,
-             RayWorkload *workload = nullptr) override
+    const RayEval &
+    partial(int k, std::size_t r) const
     {
-        RayEval ev;
-        traceRays({&ray, 1}, rng, record, {&ev, 1}, workload);
-        return ev;
+        return expert_evals_[static_cast<std::size_t>(k)][r];
     }
 
-    void
-    backwardLastRay(const Vec3f &dcolor) override
+    /**
+     * Expert @p k's fusion weight for ray @p r of the last traceRays
+     * batch: the transmittance of all experts whose content the ray
+     * crossed earlier. The fused pixel is sum_k weight_k * partial_k,
+     * computed from per-expert scalars only — the I/O module never
+     * sees per-sample data.
+     */
+    float
+    fusionWeight(int k, std::size_t r) const
     {
-        backwardRays({&dcolor, 1});
+        return fusion_weights_[r * experts_.size() + static_cast<std::size_t>(k)];
     }
 
     /**
      * Batch-native override: every expert traces the whole ray batch
      * through its own batched pipeline (expert-major, so each expert's
      * flattened SampleBatch spans all rays), then partials fuse per ray
-     * at the I/O module exactly as the scalar path did.
+     * at the I/O module. record=true also keeps the batch's fusion
+     * weights as the backwardRays tape, apart from the last batch's.
      */
     void
     traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
@@ -179,35 +169,32 @@ class MoeField : public RadianceField
         // depth order is well defined per ray). Only per-expert scalars
         // are used, preserving the Level-1 tiling's communication
         // profile.
-        fusion_weights_batch_.resize(n * static_cast<std::size_t>(numExperts()));
+        const std::size_t experts = experts_.size();
+        fusion_weights_.resize(n * experts);
+        fusion_order_.resize(experts);
         for (std::size_t r = 0; r < n; ++r) {
             RayEval total;
             total.color = Vec3f(0.0f);
             float trans_product = 1.0f;
-            for (int k = 0; k < numExperts(); ++k) {
-                const RayEval &ev = expert_evals_[static_cast<std::size_t>(k)][r];
-                last_partials_[static_cast<std::size_t>(k)] = ev;
+            for (std::size_t k = 0; k < experts; ++k) {
+                const RayEval &ev = expert_evals_[k][r];
                 total.samples += ev.samples;
                 total.candidates += ev.candidates;
                 total.composited += ev.composited;
                 total.firstHitT = std::min(total.firstHitT, ev.firstHitT);
                 trans_product *= ev.transmittance;
+                fusion_order_[k] = k;
             }
 
-            fusion_order_.resize(static_cast<std::size_t>(numExperts()));
-            for (int k = 0; k < numExperts(); ++k)
-                fusion_order_[static_cast<std::size_t>(k)] = k;
             std::sort(fusion_order_.begin(), fusion_order_.end(),
-                      [this](int a, int b) {
-                          return last_partials_[static_cast<std::size_t>(a)].firstHitT <
-                                 last_partials_[static_cast<std::size_t>(b)].firstHitT;
+                      [&](std::size_t a, std::size_t b) {
+                          return expert_evals_[a][r].firstHitT <
+                                 expert_evals_[b][r].firstHitT;
                       });
             float prefix = 1.0f;
-            for (int idx : fusion_order_) {
-                const RayEval &p = last_partials_[static_cast<std::size_t>(idx)];
-                fusion_weights_[static_cast<std::size_t>(idx)] = prefix;
-                fusion_weights_batch_[r * static_cast<std::size_t>(numExperts()) +
-                                      static_cast<std::size_t>(idx)] = prefix;
+            for (std::size_t k : fusion_order_) {
+                const RayEval &p = expert_evals_[k][r];
+                fusion_weights_[r * experts + k] = prefix;
                 total.color += p.color * prefix;
                 prefix *= p.transmittance;
             }
@@ -217,8 +204,8 @@ class MoeField : public RadianceField
             total.transmittance = trans_product;
             out[r] = total;
         }
-        // last_partials_/fusion_weights_ now reflect the batch's final
-        // ray, which for a batch of one is exactly the scalar contract.
+        if (record)
+            tape_weights_.assign(fusion_weights_.begin(), fusion_weights_.end());
     }
 
     /**
@@ -249,17 +236,20 @@ class MoeField : public RadianceField
     void
     backwardRays(std::span<const Vec3f> dcolors) override
     {
-        const std::size_t n = dcolors.size();
-        const std::size_t experts = static_cast<std::size_t>(numExperts());
-        if (fusion_weights_batch_.size() < n * experts)
+        const std::size_t experts = experts_.size();
+        const std::size_t n = tape_weights_.size() / experts;
+        if (n == 0)
             fatal("MoeField::backwardRays without a recorded traceRays batch");
+        if (dcolors.size() < n)
+            fatal("MoeField::backwardRays: gradient span too small (%zu < %zu)",
+                  dcolors.size(), n);
 
         expert_dcolors_.resize(experts);
         const auto backward_expert = [&](std::size_t k) {
             std::vector<Vec3f> &dc = expert_dcolors_[k];
             dc.resize(n);
             for (std::size_t r = 0; r < n; ++r)
-                dc[r] = dcolors[r] * fusion_weights_batch_[r * experts + k];
+                dc[r] = dcolors[r] * tape_weights_[r * experts + k];
             experts_[k]->backwardRays(dc);
         };
         if (pool_ && experts > 1) {
@@ -274,6 +264,7 @@ class MoeField : public RadianceField
             for (std::size_t k = 0; k < experts; ++k)
                 backward_expert(k);
         }
+        tape_weights_.clear();
     }
 
     void
@@ -317,11 +308,7 @@ class MoeField : public RadianceField
             e->optimizerStep();
     }
 
-    void
-    invalidateTapes() override
-    {
-        fusion_weights_batch_.clear();
-    }
+    void invalidateTapes() override { tape_weights_.clear(); }
 
   private:
     /** Re-apply the region mask to every expert's occupancy gate. */
@@ -337,14 +324,15 @@ class MoeField : public RadianceField
     Config cfg_;
     std::vector<std::unique_ptr<PipelineT>> experts_;
     std::vector<Vec3f> seeds_;
-    std::vector<RayEval> last_partials_;
-    std::vector<float> fusion_weights_;
-    std::vector<int> fusion_order_;
+    std::vector<std::size_t> fusion_order_;
     std::vector<RayWorkload> expert_workloads_;
-    /** Per-expert RayEvals of the current batch, [expert][ray]. */
+    /** Per-expert RayEvals of the last batch, [expert][ray]. */
     std::vector<std::vector<RayEval>> expert_evals_;
-    /** Fusion weights of the recorded batch, [ray * numExperts + expert]. */
-    std::vector<float> fusion_weights_batch_;
+    /** Fusion weights of the last batch, [ray * numExperts + expert]. */
+    std::vector<float> fusion_weights_;
+    /** Fusion weights of the recorded batch (the backwardRays tape),
+     *  same layout; empty when no recorded batch is pending. */
+    std::vector<float> tape_weights_;
     /** Per-expert dL/d(color) scratch for backwardRays (one buffer per
      *  expert so the expert-major parallel backward shares nothing). */
     std::vector<std::vector<Vec3f>> expert_dcolors_;

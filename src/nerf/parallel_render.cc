@@ -114,24 +114,6 @@ renderDepthFrameTiled(const ServeableField &field, const OccupancyGrid *grid,
     return frame;
 }
 
-Image
-renderImageTiled(const NerfModel &model, const OccupancyGrid *grid,
-                 const Camera &camera, const TiledRenderConfig &cfg,
-                 ThreadPool *pool)
-{
-    const HashGridServeField field(model);
-    return renderImageTiled(field, grid, camera, cfg, pool);
-}
-
-DepthFrame
-renderDepthFrameTiled(const NerfModel &model, const OccupancyGrid *grid,
-                      const Camera &camera, const TiledRenderConfig &cfg,
-                      ThreadPool *pool)
-{
-    const HashGridServeField field(model);
-    return renderDepthFrameTiled(field, grid, camera, cfg, pool);
-}
-
 std::uint64_t
 renderTilesInto(const ServeableField &field, const OccupancyGrid *grid,
                 const Camera &camera, const TiledRenderConfig &cfg,
@@ -160,16 +142,6 @@ renderTilesInto(const ServeableField &field, const OccupancyGrid *grid,
         body(0, static_cast<int>(tiles.size()));
     }
     return pixels;
-}
-
-std::uint64_t
-renderTilesInto(const NerfModel &model, const OccupancyGrid *grid,
-                const Camera &camera, const TiledRenderConfig &cfg,
-                std::span<const TileRect> tiles, ThreadPool *pool, Image &color,
-                float *depth)
-{
-    const HashGridServeField field(model);
-    return renderTilesInto(field, grid, camera, cfg, tiles, pool, color, depth);
 }
 
 } // namespace fusion3d::nerf

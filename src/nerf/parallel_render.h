@@ -6,8 +6,8 @@
  * (any backend: hash-grid, FreqNeRF, TensoRF) plus an occupancy gate
  * and render whole frames by splitting them into row-tiles executed on
  * a ThreadPool. This is the render path the serving subsystem
- * (src/serve) uses; `const NerfModel&` convenience overloads keep the
- * historical hash-grid call sites source-compatible.
+ * (src/serve) uses; a bare NerfModel renders through a borrowing
+ * HashGridServeField.
  *
  * Determinism: every image row re-seeds its own Pcg32 from
  * (cfg.seed, row), so the rendered frame is bit-identical regardless
@@ -27,7 +27,6 @@
 #include "nerf/camera.h"
 #include "nerf/field.h"
 #include "nerf/image_warp.h"
-#include "nerf/nerf_model.h"
 #include "nerf/occupancy_grid.h"
 #include "nerf/renderer.h"
 #include "nerf/sampler.h"
@@ -69,15 +68,6 @@ DepthFrame renderDepthFrameTiled(const ServeableField &field,
                                  const TiledRenderConfig &cfg,
                                  ThreadPool *pool = nullptr);
 
-/** Hash-grid convenience overloads: wrap @p model in a borrowing
- *  HashGridServeField and render through the polymorphic path. */
-Image renderImageTiled(const NerfModel &model, const OccupancyGrid *grid,
-                       const Camera &camera, const TiledRenderConfig &cfg,
-                       ThreadPool *pool = nullptr);
-DepthFrame renderDepthFrameTiled(const NerfModel &model, const OccupancyGrid *grid,
-                                 const Camera &camera, const TiledRenderConfig &cfg,
-                                 ThreadPool *pool = nullptr);
-
 /** A pixel rectangle [x0, x1) x [y0, y1) of the target image. */
 struct TileRect
 {
@@ -110,12 +100,6 @@ struct TileRect
  * @return the number of pixels rendered.
  */
 std::uint64_t renderTilesInto(const ServeableField &field, const OccupancyGrid *grid,
-                              const Camera &camera, const TiledRenderConfig &cfg,
-                              std::span<const TileRect> tiles, ThreadPool *pool,
-                              Image &color, float *depth);
-
-/** Hash-grid convenience overload of renderTilesInto(). */
-std::uint64_t renderTilesInto(const NerfModel &model, const OccupancyGrid *grid,
                               const Camera &camera, const TiledRenderConfig &cfg,
                               std::span<const TileRect> tiles, ThreadPool *pool,
                               Image &color, float *depth);

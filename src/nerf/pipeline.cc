@@ -37,20 +37,6 @@ NerfPipeline::NerfPipeline(const PipelineConfig &cfg)
     eval_.setCompaction(cfg.occupancyCompaction);
 }
 
-RayEval
-NerfPipeline::traceRay(const Ray &ray, Pcg32 &rng, bool record, RayWorkload *workload)
-{
-    RayEval ev;
-    traceRays({&ray, 1}, rng, record, {&ev, 1}, workload);
-    return ev;
-}
-
-void
-NerfPipeline::backwardLastRay(const Vec3f &dcolor)
-{
-    backwardRays({&dcolor, 1});
-}
-
 void
 NerfPipeline::traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
                         std::span<RayEval> out, RayWorkload *workload)
@@ -147,7 +133,8 @@ NerfPipeline::renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out
     tcfg.sampler.jitter = false; // inference render
     tcfg.render = cfg_.render;
     tcfg.seed = cfg_.seed;
-    out = renderImageTiled(*model_, &grid_, camera, tcfg, pool);
+    const HashGridServeField field(*model_);
+    out = renderImageTiled(field, &grid_, camera, tcfg, pool);
     return true;
 }
 

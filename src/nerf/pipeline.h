@@ -57,7 +57,7 @@ class NerfPipeline : public RadianceField
     const RaySampler &sampler() const { return sampler_; }
 
     /**
-     * Stage-II access-trace observer applied during traceRay. The chip
+     * Stage-II access-trace observer applied during traceRays. The chip
      * model installs one to replay hash accesses through the banked-SRAM
      * simulation. While one is attached the forward runs as one
      * whole-batch call, so the accesses arrive in canonical order.
@@ -73,12 +73,6 @@ class NerfPipeline : public RadianceField
     {
         return eval_.lastCompaction();
     }
-
-    /** Scalar entry point; delegates to traceRays with a batch of one,
-     *  so every evaluation rides the batched SoA core. */
-    RayEval traceRay(const Ray &ray, Pcg32 &rng, bool record,
-                     RayWorkload *workload = nullptr) override;
-    void backwardLastRay(const Vec3f &dcolor) override;
 
     /**
      * Batch-native override: Stage I samples every ray into one

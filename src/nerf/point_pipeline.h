@@ -14,7 +14,7 @@
  *   using BatchWorkspace = ...;                       // batched scratch
  *   static constexpr BackendKind kBackendKind = ...;
  *   ModelT(const Config &, std::uint64_t seed);
- *   // Scalar oracle (bit-exactness reference):
+ *   // Scalar oracle (the tests' bit-exactness reference):
  *   PointEval forwardPoint(const Vec3f &pos, const Vec3f &dir);
  *   float queryDensity(const Vec3f &pos);
  *   void backwardPoint(const Vec3f &, const Vec3f &, float, const Vec3f &);
@@ -38,7 +38,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "nerf/batch_evaluator.h"
 #include "nerf/field.h"
@@ -101,71 +100,6 @@ class PointPipeline : public RadianceField
     RayBatchEvaluator::CompactionStats lastCompaction() const
     {
         return eval_.lastCompaction();
-    }
-
-    /**
-     * Scalar reference path: per-point forwardPoint loop with its own
-     * scalar tape. Kept (rather than delegating to a batch of one) as
-     * the independent oracle the batch-vs-scalar bit-exactness tests
-     * compare traceRays against.
-     */
-    RayEval
-    traceRay(const Ray &ray, Pcg32 &rng, bool record,
-             RayWorkload *workload = nullptr) override
-    {
-        std::vector<RaySample> &samples = record ? tape_samples_ : scratch_samples_;
-        sampler_.sample(ray, &grid_, rng, samples, workload);
-
-        RayEval ev;
-        ev.samples = static_cast<int>(samples.size());
-        ev.candidates = workload ? workload->totalCandidates : ev.samples;
-
-        tape_sigmas_.resize(samples.size());
-        tape_rgbs_.resize(samples.size());
-        tape_dts_.resize(samples.size());
-        const Vec3f dir = normalize(ray.dir);
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            const PointEval pe = model_->forwardPoint(samples[i].pos, dir);
-            tape_sigmas_[i] = pe.sigma;
-            tape_rgbs_[i] = pe.rgb;
-            tape_dts_[i] = samples[i].dt;
-        }
-
-        const CompositeResult cr =
-            composite(tape_sigmas_, tape_rgbs_, tape_dts_, cfg_.render);
-        ev.color = cr.color;
-        ev.transmittance = cr.transmittance;
-        ev.composited = cr.used;
-        if (!samples.empty())
-            ev.firstHitT = samples.front().t;
-
-        if (record) {
-            tape_dir_ = dir;
-            tape_result_ = cr;
-            tape_valid_ = true;
-        }
-        return ev;
-    }
-
-    void
-    backwardLastRay(const Vec3f &dcolor) override
-    {
-        if (!tape_valid_)
-            panic("PointPipeline::backwardLastRay without a recorded ray");
-
-        tape_dsigmas_.resize(tape_sigmas_.size());
-        tape_drgbs_.resize(tape_rgbs_.size());
-        compositeBackward(tape_sigmas_, tape_rgbs_, tape_dts_, cfg_.render,
-                          tape_result_, dcolor, tape_dsigmas_, tape_drgbs_,
-                          composite_scratch_);
-
-        for (int i = 0; i < tape_result_.used; ++i) {
-            model_->backwardPoint(tape_samples_[static_cast<std::size_t>(i)].pos,
-                                  tape_dir_,
-                                  tape_dsigmas_[static_cast<std::size_t>(i)],
-                                  tape_drgbs_[static_cast<std::size_t>(i)]);
-        }
-        tape_valid_ = false;
     }
 
     /**
@@ -247,12 +181,7 @@ class PointPipeline : public RadianceField
         model_->optimizerStep(cfg_.lrFactors, cfg_.lrNet);
     }
 
-    void
-    invalidateTapes() override
-    {
-        eval_.invalidateTape();
-        tape_valid_ = false;
-    }
+    void invalidateTapes() override { eval_.invalidateTape(); }
 
   private:
     /** Grow the per-shard workspace set to at least @p shards. */
@@ -323,19 +252,6 @@ class PointPipeline : public RadianceField
 
     /** Shared Stage I/III machinery (hoisted from NerfPipeline). */
     RayBatchEvaluator eval_{"PointPipeline"};
-
-    // Scalar-oracle tape (traceRay/backwardLastRay).
-    std::vector<RaySample> tape_samples_;
-    std::vector<float> tape_sigmas_;
-    std::vector<Vec3f> tape_rgbs_;
-    std::vector<float> tape_dts_;
-    std::vector<float> tape_dsigmas_;
-    std::vector<Vec3f> tape_drgbs_;
-    Vec3f tape_dir_;
-    CompositeResult tape_result_;
-    bool tape_valid_ = false;
-    std::vector<RaySample> scratch_samples_;
-    CompositeBackwardScratch composite_scratch_;
 
     // Batched-evaluation scratch: per-shard workspaces and private
     // gradient buffers. Grown once, allocation-free in steady state.

@@ -53,25 +53,15 @@ class RadianceField
     virtual ~RadianceField() = default;
 
     /**
-     * Render one ray.
-     * @param ray      Ray in normalized model coordinates.
-     * @param rng      Source of sampling jitter.
-     * @param record   Keep the evaluation tape so backwardLastRay() works.
-     * @param workload Optional Stage-I trace sink for the hardware model.
-     */
-    virtual RayEval traceRay(const Ray &ray, Pcg32 &rng, bool record,
-                             RayWorkload *workload = nullptr) = 0;
-
-    /** Backpropagate dL/d(color) of the most recently recorded ray. */
-    virtual void backwardLastRay(const Vec3f &dcolor) = 0;
-
-    /**
      * Render a batch of rays as one flattened SoA evaluation through
-     * the GEMM-shaped batch core. The rng is consumed ray by ray, so
-     * jitter streams match a traceRay() loop over the same rays.
+     * the GEMM-shaped batch core. A single-model pipeline consumes the
+     * rng ray by ray, so its jitter streams are batch-size invariant;
+     * MoeField consumes it expert-major (each expert samples the whole
+     * batch in turn), so with jitter on its streams depend on the batch
+     * split.
      *
      * @param rays     Rays in normalized model coordinates.
-     * @param rng      Source of sampling jitter, consumed ray by ray.
+     * @param rng      Source of sampling jitter.
      * @param record   Keep the evaluation tape so backwardRays() works.
      * @param out      Receives one RayEval per ray (size >= rays.size()).
      * @param workload Optional aggregate Stage-I trace over the batch.
@@ -81,9 +71,22 @@ class RadianceField
 
     /**
      * Backpropagate per-ray dL/d(color) for the batch recorded by the
-     * last traceRays(record=true).
+     * last traceRays(record=true); an unrecorded traceRays in between
+     * leaves that tape intact.
      */
     virtual void backwardRays(std::span<const Vec3f> dcolors) = 0;
+
+    /**
+     * Render one ray: a batch of one through traceRays(). The chip
+     * models capture per-ray Stage-I and Stage-II traces through it.
+     */
+    RayEval
+    traceRay(const Ray &ray, Pcg32 &rng, bool record, RayWorkload *workload = nullptr)
+    {
+        RayEval ev;
+        traceRays({&ray, 1}, rng, record, {&ev, 1}, workload);
+        return ev;
+    }
 
     /**
      * Zero all accumulated parameter gradients. Non-virtual template
@@ -154,9 +157,8 @@ class RadianceField
     virtual void optimizerStepImpl() = 0;
 
     /**
-     * Drop every recorded evaluation tape so a stale backwardRays() /
-     * backwardLastRay() panics instead of re-tracing against updated
-     * weights.
+     * Drop every recorded evaluation tape so a stale backwardRays()
+     * panics instead of re-tracing against updated weights.
      */
     virtual void invalidateTapes() = 0;
 

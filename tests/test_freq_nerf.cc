@@ -6,6 +6,7 @@
 
 #include "nerf/freq_nerf.h"
 #include "nerf/trainer.h"
+#include "ray_reference.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
 
@@ -165,9 +166,10 @@ cameraRays(int size = 12)
     return rays;
 }
 
-/** The batch-native traceRays override is bit-exact with the scalar
- *  per-ray oracle (traceRay): the CSR batch draws jitter in the same
- *  ray order and every sample's arithmetic is batch-invariant. */
+/** The batch-native traceRays override is bit-exact with the per-ray
+ *  reference (sampler, scalar forwardPoint, composite): the CSR batch
+ *  draws jitter in the same ray order and every sample's arithmetic is
+ *  batch-invariant. */
 TEST(FreqPipeline, TraceRaysMatchesScalarOracleBitExact)
 {
     FreqPipeline batched(tinyPipelineConfig());
@@ -179,7 +181,7 @@ TEST(FreqPipeline, TraceRaysMatchesScalarOracleBitExact)
     batched.traceRays(rays, rng_a, /*record=*/false, evals);
 
     for (std::size_t r = 0; r < rays.size(); ++r) {
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, /*record=*/false);
+        const RayEval ref = referenceTraceRay(scalar, rays[r], rng_b);
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].transmittance, ref.transmittance) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples) << "ray " << r;

@@ -7,6 +7,7 @@
 #include "nerf/moe.h"
 #include "nerf/pipeline.h"
 #include "nerf/trainer.h"
+#include "ray_reference.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
 
@@ -59,13 +60,15 @@ TEST(Pipeline, TraceRayDeterministicWithoutJitter)
 TEST(Pipeline, BackwardRequiresRecordedRay)
 {
     NerfPipeline pipe(tinyPipeline());
-    EXPECT_DEATH(pipe.backwardLastRay({1.0f, 0.0f, 0.0f}), "without a recorded");
+    const Vec3f dcolor{1.0f, 0.0f, 0.0f};
+    EXPECT_DEATH(pipe.backwardRays({&dcolor, 1}), "without a recorded");
 }
 
 /**
- * The batched entry point is bit-exact with per-ray tracing: sampling
- * draws jitter in the same ray order, and the SoA forward evaluates
- * every sample with scalar-identical arithmetic.
+ * The batched entry point is bit-exact with the per-ray reference
+ * (sampler, scalar forwardPoint, composite): sampling draws jitter in
+ * the same ray order, and the SoA forward evaluates every sample with
+ * scalar-identical arithmetic.
  */
 TEST(Pipeline, TraceRaysMatchesPerRayLoop)
 {
@@ -87,7 +90,7 @@ TEST(Pipeline, TraceRaysMatchesPerRayLoop)
     std::uint64_t candidates_b = 0;
     for (std::size_t r = 0; r < rays.size(); ++r) {
         RayWorkload wl;
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, false, &wl);
+        const RayEval ref = referenceTraceRay(scalar, rays[r], rng_b, &wl);
         candidates_b += static_cast<std::uint64_t>(wl.totalCandidates);
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples);
@@ -96,6 +99,7 @@ TEST(Pipeline, TraceRaysMatchesPerRayLoop)
         EXPECT_EQ(evals[r].firstHitT, ref.firstHitT);
     }
     EXPECT_EQ(static_cast<std::uint64_t>(wl_a.totalCandidates), candidates_b);
+    EXPECT_EQ(rng_a.nextUint(), rng_b.nextUint());
 }
 
 /**
@@ -128,7 +132,7 @@ TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
     scalar.model().zeroGrads();
     for (std::size_t r = 0; r < rays.size(); ++r) {
         scalar.traceRay(rays[r], rng_b, /*record=*/true);
-        scalar.backwardLastRay(dcolors[r]);
+        scalar.backwardRays({&dcolors[r], 1});
     }
 
     const auto check = [](std::span<float> got, std::span<float> want,
@@ -148,8 +152,8 @@ TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
 
 /**
  * PointPipeline (here the frequency-encoded NeRF) honors the same
- * traceRays contract: identical results to a per-ray loop over its
- * scalar traceRay oracle, and a working recorded backward.
+ * traceRays contract: identical results to the per-ray reference, and
+ * a working recorded backward.
  */
 TEST(Pipeline, PointPipelineTraceRaysMatchesPerRayLoop)
 {
@@ -173,7 +177,7 @@ TEST(Pipeline, PointPipelineTraceRaysMatchesPerRayLoop)
     std::vector<RayEval> evals(rays.size());
     batched.traceRays(rays, rng_a, /*record=*/true, evals);
     for (std::size_t r = 0; r < rays.size(); ++r) {
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, false);
+        const RayEval ref = referenceTraceRay(scalar, rays[r], rng_b);
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples);
     }
@@ -297,8 +301,8 @@ TEST(Moe, TraceFusesWeightedExpertPartials)
     int samples = 0;
     float tprod = 1.0f;
     for (int k = 0; k < moe.numExperts(); ++k) {
-        const RayEval &p = moe.lastPartials()[static_cast<std::size_t>(k)];
-        fused += p.color * moe.lastFusionWeights()[static_cast<std::size_t>(k)];
+        const RayEval &p = moe.partial(k, 0);
+        fused += p.color * moe.fusionWeight(k, 0);
         samples += p.samples;
         tprod *= p.transmittance;
     }
@@ -308,8 +312,64 @@ TEST(Moe, TraceFusesWeightedExpertPartials)
     EXPECT_NEAR(total.transmittance, tprod, 1e-5f);
     // The depth-first expert carries weight 1; the later one is
     // attenuated by the first's transmittance.
-    const auto &w = moe.lastFusionWeights();
-    EXPECT_FLOAT_EQ(std::max(w[0], w[1]), 1.0f);
+    EXPECT_FLOAT_EQ(std::max(moe.fusionWeight(0, 0), moe.fusionWeight(1, 0)), 1.0f);
+}
+
+/** Every expert's accumulated gradients, concatenated in expert order. */
+std::vector<float>
+moeGrads(MoeNerf &moe)
+{
+    std::vector<float> all;
+    for (int k = 0; k < moe.numExperts(); ++k) {
+        NerfModel &m = moe.expert(k).model();
+        for (const std::span<float> g :
+             {m.densityNet().grads(), m.colorNet().grads(), m.encoding().grads()})
+            all.insert(all.end(), g.begin(), g.end());
+    }
+    return all;
+}
+
+/**
+ * An unrecorded traceRays between a recorded batch and its backward
+ * leaves the recorded tape alone, whether the unrecorded batch is
+ * larger or smaller: the gradients equal a clean trace + backward's
+ * bit for bit.
+ */
+TEST(Moe, UnrecordedTraceKeepsRecordedTape)
+{
+    MoeConfig mc;
+    mc.numExperts = 2;
+    mc.expert = tinyPipeline();
+    mc.expert.sampler.jitter = false;
+
+    std::vector<Ray> recorded;
+    for (int i = 0; i < 4; ++i)
+        recorded.emplace_back(Vec3f{0.2f + 0.2f * static_cast<float>(i), 0.5f, -1.0f},
+                              Vec3f{0.1f, 0.0f, 1.0f});
+    const std::vector<Vec3f> dcolors{{0.5f, -0.25f, 0.125f},
+                                     {-0.3f, 0.6f, 0.1f},
+                                     {0.2f, 0.2f, -0.4f},
+                                     {-0.1f, 0.05f, 0.3f}};
+    std::vector<RayEval> evals(8);
+
+    MoeNerf clean(mc);
+    Pcg32 rng_clean(3);
+    clean.traceRays(recorded, rng_clean, /*record=*/true, evals);
+    clean.backwardRays(dcolors);
+    const std::vector<float> want = moeGrads(clean);
+
+    for (const int unrecorded : {8, 2}) {
+        std::vector<Ray> other;
+        for (int i = 0; i < unrecorded; ++i)
+            other.emplace_back(Vec3f{0.9f - 0.1f * static_cast<float>(i), 0.3f, -1.0f},
+                               Vec3f{-0.2f, 0.1f, 1.0f});
+        MoeNerf moe(mc);
+        Pcg32 rng(3);
+        moe.traceRays(recorded, rng, /*record=*/true, evals);
+        moe.traceRays(other, rng, /*record=*/false, evals);
+        moe.backwardRays(dcolors);
+        EXPECT_EQ(moeGrads(moe), want) << unrecorded << " unrecorded rays";
+    }
 }
 
 /**

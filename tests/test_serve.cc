@@ -69,6 +69,7 @@ expectImagesIdentical(const Image &a, const Image &b)
 TEST(ParallelRender, TiledIsBitIdenticalToSingleThread)
 {
     const nerf::NerfModel model(tinyModelConfig(), /*seed=*/21);
+    const nerf::HashGridServeField field(model);
     const nerf::OccupancyGrid grid(12); // fresh grid: everything occupied
     const nerf::Camera cam = testCamera();
 
@@ -76,15 +77,16 @@ TEST(ParallelRender, TiledIsBitIdenticalToSingleThread)
     rc.sampler.maxSamplesPerRay = 16;
     rc.rowsPerTile = 3;
 
-    const Image serial = nerf::renderImageTiled(model, &grid, cam, rc, nullptr);
+    const Image serial = nerf::renderImageTiled(field, &grid, cam, rc, nullptr);
     ThreadPool pool(3);
-    const Image parallel = nerf::renderImageTiled(model, &grid, cam, rc, &pool);
+    const Image parallel = nerf::renderImageTiled(field, &grid, cam, rc, &pool);
     expectImagesIdentical(serial, parallel);
 }
 
 TEST(ParallelRender, JitteredTilesAreThreadCountInvariant)
 {
     const nerf::NerfModel model(tinyModelConfig(), /*seed=*/22);
+    const nerf::HashGridServeField field(model);
     const nerf::Camera cam = testCamera();
 
     nerf::TiledRenderConfig rc;
@@ -93,9 +95,9 @@ TEST(ParallelRender, JitteredTilesAreThreadCountInvariant)
     rc.seed = 5;
     rc.rowsPerTile = 1;
 
-    const Image serial = nerf::renderImageTiled(model, nullptr, cam, rc, nullptr);
+    const Image serial = nerf::renderImageTiled(field, nullptr, cam, rc, nullptr);
     ThreadPool pool(4);
-    const Image parallel = nerf::renderImageTiled(model, nullptr, cam, rc, &pool);
+    const Image parallel = nerf::renderImageTiled(field, nullptr, cam, rc, &pool);
     expectImagesIdentical(serial, parallel);
 }
 
@@ -120,8 +122,8 @@ TEST(ParallelRender, MatchesTrainerRenderView)
     rc.sampler = pc.sampler;
     rc.render = pc.render;
     ThreadPool pool(3);
-    const Image tiled =
-        nerf::renderImageTiled(pipe.model(), &pipe.grid(), cam, rc, &pool);
+    const nerf::HashGridServeField field(pipe.model());
+    const Image tiled = nerf::renderImageTiled(field, &pipe.grid(), cam, rc, &pool);
     expectImagesIdentical(reference, tiled);
 }
 

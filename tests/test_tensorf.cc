@@ -7,6 +7,7 @@
 #include "nerf/moe.h"
 #include "nerf/tensorf.h"
 #include "nerf/trainer.h"
+#include "ray_reference.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
 
@@ -144,9 +145,10 @@ cameraRays(int size = 12)
     return rays;
 }
 
-/** The batch-native traceRays override is bit-exact with the scalar
- *  per-ray oracle (traceRay): level-major factor gathers change the
- *  memory access pattern, never a sample's arithmetic. */
+/** The batch-native traceRays override is bit-exact with the per-ray
+ *  reference (sampler, scalar forwardPoint, composite): level-major
+ *  factor gathers change the memory access pattern, never a sample's
+ *  arithmetic. */
 TEST(TensorfPipeline, TraceRaysMatchesScalarOracleBitExact)
 {
     TensorfPipeline batched(tinyConfig());
@@ -158,7 +160,7 @@ TEST(TensorfPipeline, TraceRaysMatchesScalarOracleBitExact)
     batched.traceRays(rays, rng_a, /*record=*/false, evals);
 
     for (std::size_t r = 0; r < rays.size(); ++r) {
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, /*record=*/false);
+        const RayEval ref = referenceTraceRay(scalar, rays[r], rng_b);
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].transmittance, ref.transmittance) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples) << "ray " << r;
@@ -192,7 +194,8 @@ TEST(TensorfMoe, BuildsAndTraces)
     const Ray ray({0.5f, 0.5f, -1.0f}, {0.0f, 0.0f, 1.0f});
     const RayEval ev = moe.traceRay(ray, rng, true);
     EXPECT_TRUE(std::isfinite(ev.color.x));
-    moe.backwardLastRay({0.1f, 0.1f, 0.1f});
+    const Vec3f dcolor{0.1f, 0.1f, 0.1f};
+    moe.backwardRays({&dcolor, 1});
     moe.optimizerStep();
 }
 

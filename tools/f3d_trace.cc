@@ -21,7 +21,8 @@
  *
  * The parser is a minimal recursive-descent JSON reader (no external
  * dependencies, matching the repo's no-new-deps rule); it handles the
- * general JSON grammar, not just the tracer's output shape.
+ * general JSON grammar, not just the tracer's output shape. Values
+ * nested deeper than JsonParser::kMaxDepth are a parse error.
  */
 
 #include <algorithm>
@@ -91,12 +92,19 @@ struct JValue
 class JsonParser
 {
   public:
+    /** Deepest value nesting accepted (the tracer's dumps nest five
+     *  values deep). The bound keeps hostile input from overflowing the
+     *  stack of this recursive descent and of JValue's recursive
+     *  destructor. */
+    static constexpr int kMaxDepth = 256;
+
     explicit JsonParser(const std::string &text) : text_(text) {}
 
     bool
     parse(JValue &out, std::string &error)
     {
         pos_ = 0;
+        depth_ = 0;
         if (!parseValue(out)) {
             error = error_ + " at offset " + std::to_string(pos_);
             return false;
@@ -195,6 +203,17 @@ class JsonParser
     bool
     parseValue(JValue &out)
     {
+        if (depth_ == kMaxDepth)
+            return fail("nesting too deep");
+        ++depth_;
+        const bool ok = parseValueBody(out);
+        --depth_;
+        return ok;
+    }
+
+    bool
+    parseValueBody(JValue &out)
+    {
         skipSpace();
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
@@ -282,6 +301,7 @@ class JsonParser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     std::string error_;
 };
 
